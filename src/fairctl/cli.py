@@ -22,17 +22,13 @@ from .core import INFINITY, NonNegVector
 from .fairness import FairnessSpec, dispersion_report
 from .geometry import project_fair_region
 from .solver import ObjectiveSpec, pareto_sweep, solve
-from .verifier import SUITE_NAMES, VerifyConfig, run_suite
+from .verifier import SUITE_NAMES, VerifyConfig, _p_token, run_suite
 
 DEFAULT_SEED = 42
 
 
 class CliError(Exception):
     """Usage or input error; converted to exit status 2."""
-
-
-def _p_token(p: float):
-    return "inf" if math.isinf(p) else float(p)
 
 
 def _parse_p(token: str) -> float:
@@ -53,6 +49,21 @@ def _parse_p_list(text: str) -> list[float]:
     if not tokens:
         raise CliError("exponent list is empty")
     return [_parse_p(t) for t in tokens]
+
+
+def _positive(kind):
+    """argparse type for tolerances, steps and iteration caps: a finite kind > 0."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_eps(value: float) -> float:
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--input", required=True, help="CSV file, one vector per line")
     check.add_argument("--eps", type=float, required=True, help="fairness level in [0, 1]")
     check.add_argument("--p", required=True, help="comma-separated exponents, each >= 2 or 'inf'")
-    check.add_argument("--tol", type=float, default=1e-9, help="relative membership tolerance")
+    check.add_argument("--tol", type=_positive(float), default=1e-9, help="relative membership tolerance")
     check.add_argument("--out", default=None, help="write the JSON report to a file")
 
     epsmax = sub.add_parser("epsmax", help="maximal fairness threshold per vector")
@@ -399,17 +410,17 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("--input", required=True)
     project.add_argument("--eps", type=float, required=True)
     project.add_argument("--p", required=True, help="a single exponent >= 2 or 'inf'")
-    project.add_argument("--tol", type=float, default=1e-8)
-    project.add_argument("--max-iter", type=int, default=5000)
+    project.add_argument("--tol", type=_positive(float), default=1e-8)
+    project.add_argument("--max-iter", type=_positive(int), default=5000)
     project.add_argument("--out", default=None)
 
     solve_cmd = sub.add_parser("solve", help="maximize a linear objective over the fair region")
     solve_cmd.add_argument("--objective", required=True, help="CSV file with one coefficient row")
     solve_cmd.add_argument("--eps", type=float, required=True)
     solve_cmd.add_argument("--p", required=True)
-    solve_cmd.add_argument("--step", type=float, default=None)
-    solve_cmd.add_argument("--tol", type=float, default=1e-8)
-    solve_cmd.add_argument("--max-iter", type=int, default=20000)
+    solve_cmd.add_argument("--step", type=_positive(float), default=None)
+    solve_cmd.add_argument("--tol", type=_positive(float), default=1e-8)
+    solve_cmd.add_argument("--max-iter", type=_positive(int), default=20000)
     solve_cmd.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="trace the efficiency-vs-fairness frontier over epsilon")
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--p-chain", default="2,3,4,6,10,20,50,inf", help="comma-separated exponent chain"
     )
-    verify.add_argument("--tol", type=float, default=1e-9)
+    verify.add_argument("--tol", type=_positive(float), default=1e-9)
     verify.add_argument("--out", default=None)
 
     return parser

@@ -1,14 +1,17 @@
 """Euclidean projections: simplex, nonnegative lp ball, and their intersection.
 
 The fair region on the simplex is Delta_n intersected with the nonnegative
-lp ball of radius 1 / (1 + eps D_p). Projection onto the intersection runs
-Dykstra's alternating scheme, which converges to the exact Euclidean
-projection (plain alternation would only reach a feasible point).
+lp ball of radius 1 / (1 + eps D_p). Its projection is exact: dualizing
+sum(x) = 1 with a multiplier mu leaves x(mu), the lp-ball projection of
+y - mu e, whose sum never increases with mu, so one monotone root on mu
+finds the optimum. At p = infinity x(mu) is a clip and the root is the
+capped-simplex projection (Wang & Lu 2015, arXiv:1503.01002). The lp-ball
+projection itself is a monotone root on the ball multiplier, and both
+roots share one bracketed secant search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,14 +36,18 @@ class ProjectionResult:
     residual: float
 
 
-def _project_simplex_arr(y: np.ndarray) -> np.ndarray:
-    """Sort-and-threshold projection of an arbitrary real vector onto Delta_n."""
+#: Cap on multiplier evaluations in one lp-ball projection.
+_MAX_OUTER = 200
+#: Cap on safeguarded Newton steps per coordinate root.
+_MAX_INNER = 100
+
+
+def _simplex_threshold(y: np.ndarray) -> float:
+    """The tau with sum(max(y - tau, 0)) = 1, by sort and threshold."""
     u = np.sort(y)[::-1]
     shifted = (np.cumsum(u) - 1.0) / np.arange(1, y.size + 1)
     # u[0] - shifted[0] = 1, so the index set is never empty
-    k = np.nonzero(u - shifted > 0)[0][-1]
-    x = np.maximum(y - shifted[k], 0.0)
-    return x / x.sum()
+    return float(shifted[np.nonzero(u - shifted > 0)[0][-1]])
 
 
 def project_simplex(y) -> SimplexVector:
@@ -50,33 +57,71 @@ def project_simplex(y) -> SimplexVector:
         raise ValueError(f"expected a 1-D vector of dimension >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
-    return SimplexVector(_project_simplex_arr(arr))
+    x = np.maximum(arr - _simplex_threshold(arr), 0.0)
+    return SimplexVector(x / x.sum())
 
 
-def _coordinate_roots(
-    w: np.ndarray, p: float, lam: float, z0: np.ndarray | None, max_inner: int
-) -> np.ndarray:
-    """Solve z + lam*p*z^(p-1) = w_i per coordinate on [0, w_i].
+def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int):
+    """Root of a nonincreasing f from a point a with f(a) = fa; step has the sign of fa.
 
-    Safeguarded Newton: the bracket shrinks every step and any Newton
-    candidate outside it falls back to bisection.
+    Trials step on from a, doubling the step, until f changes sign; then
+    Illinois secant steps (bisection when one leaves the bracket) run until
+    |f| <= tol, the bracket shrinks to adjacent floats, or max_evals
+    evaluations are spent. Returns f at the last point evaluated (fa if
+    none) and the evaluation count; callers read the root from state that
+    f keeps, which belongs to that last point.
+    """
+    if abs(fa) <= tol or max_evals < 1:
+        return fa, 0
+    b = a + step
+    fb = f(b)
+    evals = 1
+    while abs(fb) > tol and (fb > 0.0) == (fa > 0.0) and evals < max_evals:
+        step *= 2.0
+        a, fa, b = b, fb, b + step
+        fb = f(b)
+        evals += 1
+    fc = fb
+    side = 0
+    while abs(fc) > tol and evals < max_evals:
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+            if not min(a, b) < c < max(a, b):
+                break
+        fc = f(c)
+        evals += 1
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5  # Illinois damping keeps the secant moving
+            side = 1
+        else:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+    return fc, evals
+
+
+def _coordinate_roots(w: np.ndarray, p: float, kappa: float) -> np.ndarray:
+    """Solve z + (kappa z)^(p-1) = w_i per coordinate on [0, w_i].
+
+    Newton from min(w, w^(1/(p-1)) / kappa), an upper bound on the root: the
+    left side is convex in z, so the iterates fall monotonically onto it.
+    Steps that overflow at large p fall back to bisection of the bracket.
     """
     lo = np.zeros_like(w)
     hi = w.copy()
     scale = float(hi.max())
-    with np.errstate(over="ignore", invalid="ignore"):
-        if z0 is None:
-            z = w / (1.0 + lam * p * w ** (p - 2.0))
-            z = np.where(np.isfinite(z), z, 0.5 * w)
-        else:
-            z = np.clip(z0, lo, hi)
-        for _ in range(max_inner):
-            g = z + lam * p * z ** (p - 1.0) - w
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.minimum(w, w ** (1.0 / (p - 1.0)) / kappa)
+        for _ in range(_MAX_INNER):
+            kz = kappa * z
+            g = z + kz ** (p - 1.0) - w
             lo = np.where(g < 0, z, lo)
             hi = np.where(g > 0, z, hi)
-            slope = 1.0 + lam * p * (p - 1.0) * z ** (p - 2.0)
-            step = g / slope
-            cand = z - step
+            cand = z - g / (1.0 + (p - 1.0) * kappa * kz ** (p - 2.0))
             bad = ~np.isfinite(cand) | (cand < lo) | (cand > hi)
             cand = np.where(bad, 0.5 * (lo + hi), cand)
             done = np.abs(cand - z).max() <= 1e-16 * max(scale, 1.0)
@@ -87,17 +132,15 @@ def _coordinate_roots(
 
 
 def _project_lp_ball_arr(
-    y: np.ndarray,
-    p: float,
-    radius: float,
-    tol: float,
-    max_outer: int,
-    max_inner: int,
+    y: np.ndarray, p: float, radius: float, tol: float
 ) -> tuple[np.ndarray, int, float]:
     """Projection of a real vector onto {z >= 0 : ||z||_p <= radius}.
 
-    Negative inputs clip to zero first (their optimal coordinate is 0), so
-    the routine can serve as one half of the Dykstra iteration.
+    Negative inputs clip to zero first (their optimal coordinate is 0).
+    At finite p > 2, stationarity z + lam p z^(p-1) = w becomes
+    z + (kappa z)^(p-1) = w with kappa = (lam p)^(1/(p-1)), which is on the
+    scale of 1 / radius for every p (the root as p -> infinity), so the
+    search on kappa, where the norm falls, starts there.
     """
     base = np.maximum(y, 0.0)
     if p == INFINITY:
@@ -109,82 +152,34 @@ def _project_lp_ball_arr(
         z = base * (radius / norm)
         return z, 0, max(0.0, float(np.linalg.norm(z)) - radius)
 
-    # Dual root-find: locate lam >= 0 with ||z(lam)||_p = radius. The
-    # bracket [lam_lo, lam_hi] always straddles the root; candidates come
-    # from a secant step and fall back to bisection when they stall.
     pos = base > 0
-    w = base[pos]
-    iterations = 0
-    lam_lo, gap_lo = 0.0, norm - radius
-    lam_hi = 1.0
-    z = _coordinate_roots(w, p, lam_hi, None, max_inner)
-    iterations += 1
-    gap_hi = float(_pnorm_rows(z, p)) - radius
-    while gap_hi >= 0.0 and iterations < max_outer:
-        lam_lo, gap_lo = lam_hi, gap_hi
-        lam_hi *= 2.0
-        z = _coordinate_roots(w, p, lam_hi, z, max_inner)
-        iterations += 1
-        gap_hi = float(_pnorm_rows(z, p)) - radius
-    gap = gap_hi
-    side = 0
-    while abs(gap) > tol and iterations < max_outer:
-        denom = gap_hi - gap_lo
-        lam = lam_lo - gap_lo * (lam_hi - lam_lo) / denom if denom != 0.0 else 0.0
-        if not lam_lo < lam < lam_hi:
-            lam = 0.5 * (lam_lo + lam_hi)
-        z = _coordinate_roots(w, p, lam, z, max_inner)
-        iterations += 1
-        gap = float(_pnorm_rows(z, p)) - radius
-        if gap > 0.0:
-            lam_lo, gap_lo = lam, gap
-            if side == 1:
-                gap_hi *= 0.5  # Illinois damping keeps the secant moving
-            side = 1
-        else:
-            lam_hi, gap_hi = lam, gap
-            if side == -1:
-                gap_lo *= 0.5
-            side = -1
+    w = z = base[pos]  # z(0) = w: no shrinkage
+
+    def gap(kappa: float) -> float:
+        nonlocal z
+        z = _coordinate_roots(w, p, kappa)
+        return float(_pnorm_rows(z, p)) - radius
+
+    last_gap, iterations = _decreasing_root(gap, 0.0, norm - radius, 1.0 / radius, tol, _MAX_OUTER)
     out = np.zeros_like(base)
     out[pos] = z
-    return out, iterations, max(0.0, gap)
+    return out, iterations, max(0.0, last_gap)
 
 
-def project_lp_ball(
-    y: NonNegVector,
-    p: float,
-    radius: float,
-    tol: float = 1e-10,
-    max_outer: int = 200,
-    max_inner: int = 100,
-) -> ProjectionResult:
+def project_lp_ball(y: NonNegVector, p: float, radius: float, tol: float = 1e-10) -> ProjectionResult:
     """Euclidean projection onto the nonnegative lp ball of the given radius.
 
     p = 2 is radial scaling and p = infinity a coordinate clip; finite p > 2
-    goes through the Lagrangian dual: an outer bracketed search on the
-    multiplier (secant steps, bisection safeguard) until the boundary gap
-    |...norm - radius| falls within tol. Non-convergence within the
-    iteration caps is reported through a residual larger than tol, never
-    an exception.
+    searches the ball multiplier until |norm - radius| <= tol.
+    Non-convergence within the iteration caps shows as a residual above
+    tol, never an exception.
     """
     p = check_exponent(p)
     radius = float(radius)
     if not (radius > 0):
         raise ValueError(f"radius must be positive, got {radius!r}")
-    z, iterations, residual = _project_lp_ball_arr(
-        y.values, p, radius, tol, max_outer, max_inner
-    )
+    z, iterations, residual = _project_lp_ball_arr(y.values, p, radius, tol)
     return ProjectionResult(point=NonNegVector(z), iterations=iterations, residual=residual)
-
-
-def _fair_region_residual(x: np.ndarray, p: float, scale: float) -> float:
-    """Worst violation of {sum = 1, x >= 0, (1 + eps D_p) ||x||_p <= 1}."""
-    return max(
-        abs(float(x.sum()) - 1.0),
-        max(0.0, -float(x.min())),
-        max(0.0, scale * float(_pnorm_rows(np.maximum(x, 0.0), p)) - 1.0),
-    )
 
 
 def project_fair_region(
@@ -196,15 +191,14 @@ def project_fair_region(
 ) -> ProjectionResult:
     """Euclidean projection onto Delta_n intersected with the fair lp ball.
 
-    Runs Dykstra's alternating projections between the nonnegative lp ball
-    of radius 1 / (1 + eps D_p) and the simplex; the intersection always
-    contains e/n, so the iterates converge to the exact projection.
-    Terminates once successive iterates move at most tol in the max norm,
-    the two half-step projections agree to tol (Dykstra iterates can sit
-    still for several rounds while the corrections build up, so iterate
-    movement alone is not a safe stop), and the constraint residual is at
-    most tol; hitting the iteration cap leaves the residual above tol as
-    the failure signal.
+    x(mu), the nonnegative lp-ball projection of y - mu e, meets every
+    optimality condition but sum = 1, and its sum never increases with mu.
+    At the simplex threshold of y the sum is at most 1, so a monotone
+    search down from there finds |sum x(mu) - 1| <= tol / 100 in at most
+    max_iter evaluations of x(mu), which iterations counts. The point is
+    x(mu) / sum x(mu); its residual, the larger of that sum gap and the
+    point's violation of sum = 1, x >= 0 and the ball, certifies
+    optimality, and a residual above tol is the failure signal.
     """
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -213,6 +207,8 @@ def project_fair_region(
         raise ValueError("vector entries must be finite")
     if n is not None and n != arr.size:
         raise ValueError(f"dimension mismatch: n={n} but vector has {arr.size} entries")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = arr.size
 
     if spec.epsilon == 1.0:
@@ -221,23 +217,22 @@ def project_fair_region(
 
     scale = 1.0 + spec.epsilon * dispersion_constant(n, spec.p)
     radius = 1.0 / scale
-    ball_tol = min(tol * 1e-2, 1e-10)
+    x = arr  # set by every call of sum_gap
 
-    x = arr.copy()
-    ball_corr = np.zeros(n)
-    simplex_corr = np.zeros(n)
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        shifted = x + ball_corr
-        a, _, _ = _project_lp_ball_arr(shifted, spec.p, radius, ball_tol, 200, 100)
-        ball_corr = shifted - a
-        shifted = a + simplex_corr
-        x_new = _project_simplex_arr(shifted)
-        simplex_corr = shifted - x_new
-        delta = float(np.abs(x_new - x).max())
-        half_gap = float(np.abs(a - x_new).max())
-        x = x_new
-        residual = _fair_region_residual(x, spec.p, scale)
-        if delta <= tol and half_gap <= tol and residual <= tol:
-            break
-    return ProjectionResult(point=SimplexVector(x), iterations=iteration, residual=residual)
+    def sum_gap(mu: float) -> float:
+        nonlocal x
+        # the ball boundary is met far more tightly than the sum
+        x, _, _ = _project_lp_ball_arr(arr - mu, spec.p, radius, 1e-13 * radius)
+        return float(x.sum()) - 1.0
+
+    tau = _simplex_threshold(arr)
+    gap0 = sum_gap(tau)
+    gap, evals = _decreasing_root(sum_gap, tau, gap0, gap0, 1e-2 * tol, max_iter - 1)
+    point = x / x.sum()
+    residual = max(
+        abs(gap),
+        abs(float(point.sum()) - 1.0),
+        -float(point.min()),
+        scale * float(_pnorm_rows(point, spec.p)) - 1.0,
+    )
+    return ProjectionResult(point=SimplexVector(point), iterations=1 + evals, residual=residual)

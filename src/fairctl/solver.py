@@ -1,9 +1,10 @@
 """Projected gradient ascent over the fair region and Pareto sweeps in epsilon.
 
 The feasible set Delta_n intersected with the fair lp ball is convex and
-always contains e/n, so ascent starts there, every projection is exact
-(Dykstra), and the linear objective makes the fixed point of
-x <- P(x + step * c) the global optimum.
+always contains e/n, so ascent starts there. Every projection is exact (a
+monotone root on the simplex multiplier), so no step lowers the linear
+objective, and the fixed point of x <- P(x + step * c) is the global
+optimum.
 """
 
 from __future__ import annotations
@@ -86,9 +87,8 @@ def solve(
 
     Starts at e/n (feasible for every spec), uses the fixed step
     1 / (1 + ||c||_2) unless overridden, and stops once successive iterates
-    move at most tol in the max norm. The step halves whenever the objective
-    makes no progress for 50 consecutive iterations. Non-convergence returns
-    the best iterate with converged=False.
+    move at most tol in the max norm. Non-convergence returns the last
+    iterate with converged=False.
     """
     if n is not None and n != obj.n:
         raise ValueError(f"dimension mismatch: n={n} but objective has {obj.n} coefficients")
@@ -96,34 +96,21 @@ def solve(
     c = obj.coefficients
     if step is None:
         step = 1.0 / (1.0 + float(np.linalg.norm(c)))
-    elif step <= 0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    proj_tol = max(min(tol * 1e-2, 1e-9), 1e-12)
+    elif not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
 
     x = np.full(n, 1.0 / n)
     trace = [x.copy()] if keep_trace else None
-    best = -math.inf
-    stalled = 0
     converged = False
     iterations = 0
     point = SimplexVector(x)
     for iterations in range(1, max_iter + 1):
-        result = project_fair_region(x + step * c, spec, n=n, tol=proj_tol)
-        point = result.point
+        point = project_fair_region(x + step * c, spec, n=n).point
         x_new = point.values
         delta = float(np.abs(x_new - x).max())
         x = x_new
         if trace is not None:
             trace.append(x.copy())
-        value = float(c @ x)
-        if value > best:
-            best = value
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 50:
-                step *= 0.5
-                stalled = 0
         if delta <= tol:
             converged = True
             break

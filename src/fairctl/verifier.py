@@ -73,6 +73,8 @@ class VerifyConfig:
             raise ValueError(f"unknown suites: {unknown} (known: {list(SUITE_NAMES)})")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not self.n_values:
+            raise ValueError("at least one dimension is required")
         if any(n < 2 for n in self.n_values):
             raise ValueError("all dimensions must be >= 2")
         object.__setattr__(self, "suites", tuple(self.suites))
@@ -96,7 +98,8 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        """No failures among at least one checked sample: an empty check proves nothing."""
+        return self.failures == 0 and self.checked > 0
 
     def to_dict(self) -> dict:
         return {

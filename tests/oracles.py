@@ -129,3 +129,85 @@ def lp_vertex_max(c, eps: float) -> float:
         if (v >= -1e-10).all() and (v <= radius + 1e-10).all():
             best = max(best, float(c @ v))
     return best
+
+
+def _simplex_projection(y) -> np.ndarray:
+    """Projection onto the simplex by bisection on the threshold t of max(y - t, 0)."""
+    y = np.asarray(y, dtype=float)
+    lo, hi = float(y.min()) - 1.0, float(y.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(y - mid, 0.0).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    x = np.maximum(y - 0.5 * (lo + hi), 0.0)
+    return x / x.sum()
+
+
+def exact_fair_projection_p2(y, eps: float) -> np.ndarray:
+    """Projection onto the p = 2 fair region as Proj_simplex(alpha * y).
+
+    Stationarity gives x = Proj_simplex(y / (1 + lam)) for the ball
+    multiplier lam >= 0, and the norm of Proj_simplex(alpha * y) grows with
+    alpha, so bisection on alpha in (0, 1] finds the point on the ball.
+    """
+    y = np.asarray(y, dtype=float)
+    radius = fair_radius(y.size, eps, 2.0)
+    x = _simplex_projection(y)
+    if np.linalg.norm(x) <= radius:
+        return x
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(_simplex_projection(mid * y)) > radius:
+            hi = mid
+        else:
+            lo = mid
+    return _simplex_projection(lo * y)
+
+
+def capped_simplex_projection(y, eps: float) -> np.ndarray:
+    """Projection onto {sum x = 1, 0 <= x <= r}, the p = infinity fair region.
+
+    The point is clip(y - t, 0, r) and its sum falls as t grows, so
+    bisection on the threshold t finds sum = 1.
+    """
+    y = np.asarray(y, dtype=float)
+    radius = fair_radius(y.size, eps, math.inf)
+    lo, hi = float(y.min()) - 1.0, float(y.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(y - mid, 0.0, radius).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(y - 0.5 * (lo + hi), 0.0, radius)
+
+
+def fair_projection_kkt_residual(x, y, eps: float, p: float) -> float:
+    """Worst violation of the optimality conditions of x = Proj(y) at finite p.
+
+    x is the projection onto {x >= 0, sum x = 1, ||x||_p <= r} iff it is
+    feasible and y - x = mu + lam * g on its support, y <= mu off it, with
+    lam >= 0 and lam = 0 off the ball, where g = (x / ||x||_p)^(p-1) is the
+    gradient of the norm. mu and lam are fitted by least squares; the
+    gradient is evaluated with 50-digit arithmetic, so p may be large.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    radius = fair_radius(x.size, eps, p)
+    norm = mpf(hp_norm(x, p))
+    support = x > 1e-12
+    g = np.array([float((mpf(float(v)) / norm) ** (p - 1)) for v in x[support]])
+    design = np.column_stack([np.ones(g.size), g])
+    target = (y - x)[support]
+    (mu, lam), *_ = np.linalg.lstsq(design, target, rcond=None)
+    if lam < 0.0:
+        mu, lam = float(target.mean()), 0.0
+    residual = float(np.abs(target - mu - lam * g).max())
+    if (~support).any():
+        residual = max(residual, float((y[~support] - mu).max()))
+    on_ball = abs(float(norm) - radius) / radius
+    feasibility = max(abs(float(x.sum()) - 1.0), -float(x.min()), float(norm) / radius - 1.0)
+    return max(residual, lam * on_ball, feasibility)

@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairctl
 from fairctl import __version__
 from fairctl.cli import main
+
+import oracles
 
 
 def write(path, text):
@@ -117,6 +124,52 @@ class TestProject:
         path = write(tmp_path / "y.csv", "1,-0.2,0\n")
         code, _, _ = run(capsys, "project", "--eps", "0.5", "--p", "2", "--input", path)
         assert code == 2
+
+    @pytest.mark.parametrize("p", ["1e4", "1e6", "1e308"])
+    def test_huge_exponents_return_optimal_points(self, tmp_path, p):
+        rows = np.random.default_rng(7).standard_exponential((2, 50))
+        path = write(tmp_path / "y.csv", "".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+        out = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(fairctl.__file__).resolve().parents[1]))
+        # a child process, so that a hang fails this test instead of stalling the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairctl", "project", "--eps", "0.5", "--p", p,
+             "--input", path, "--out", str(out)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for y, entry in zip(rows, json.loads(out.read_text())["results"]["points"]):
+            assert entry["converged"] is True
+            x = np.array(entry["point"])
+            if p == "1e308":
+                # n^(1/p) rounds to 1: the lp ball is the max-norm ball in floats
+                assert np.abs(x - oracles.capped_simplex_projection(y, 0.5)).max() <= 1e-9
+            else:
+                assert oracles.fair_projection_kkt_residual(x, y, 0.5, float(p)) <= 1e-6
+
+
+class TestFlagValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--eps", "0.5", "--p", "2", "--tol", "-1"),
+            ("project", "--eps", "0.5", "--p", "2", "--tol", "0"),
+            ("project", "--eps", "0.5", "--p", "2", "--max-iter", "0"),
+            ("solve", "--eps", "0.5", "--p", "2", "--tol", "inf"),
+            ("solve", "--eps", "0.5", "--p", "2", "--step", "nan"),
+            ("solve", "--eps", "0.5", "--p", "2", "--max-iter", "-3"),
+            ("verify", "--tol", "nan"),
+        ],
+    )
+    def test_bad_numeric_flag_names_the_flag(self, capsys, tmp_path, argv):
+        path = write(tmp_path / "v.csv", "3,2,1\n")
+        source = "--objective" if argv[0] == "solve" else "--input"
+        extra = () if argv[0] == "verify" else (source, path)
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}" in err
+        assert "Traceback" not in err
 
 
 class TestSolve:
@@ -231,6 +284,21 @@ class TestVerify:
             capsys, "verify", "--suite", "corner", "--samples", "50", "--seed", "9"
         )
         assert doc["seed"] == 9
+
+    def test_empty_dimension_list_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-values", "", "--samples", "10")
+        assert code == 2
+        assert out == ""
+        assert "dimension" in err
+
+    def test_suites_with_nothing_checked_do_not_pass(self, capsys):
+        # with p = inf alone, suites that need a finite exponent or a pair check nothing
+        code, doc = run_json(capsys, "verify", "--p-chain", "inf", "--samples", "10")
+        assert code == 1
+        suites = doc["results"]["suites"]
+        assert any(s["checked"] == 0 for s in suites)
+        assert all(s["passed"] == (s["checked"] > 0 and s["failures"] == 0) for s in suites)
+        assert doc["results"]["all_passed"] is False
 
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("FAIRCTL_SEED", "not-a-number")

@@ -109,7 +109,7 @@ class TestProjectLpBall:
 
     def test_norm_lands_on_boundary_for_exterior_points(self):
         rng = np.random.default_rng(5)
-        for p in (2.5, 4.0, 8.0, 33.0):
+        for p in (2.5, 4.0, 8.0, 33.0, 1e4):
             y = NonNegVector(rng.uniform(0.3, 1.5, size=5))
             res = project_lp_ball(y, p, radius=0.6)
             assert p_norm(res.point, p) == pytest.approx(0.6, abs=1e-9)
@@ -148,6 +148,24 @@ class TestProjectFairRegion:
             dist = float(np.linalg.norm(res.point.values - y))
             oracle = oracles.grid_fair_projection_distance(y, eps, p)
             assert abs(dist - oracle) <= 2e-3
+
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_matches_exact_projection_in_high_dimension(self, p):
+        y = np.random.default_rng(41).standard_exponential(1000)
+        res = project_fair_region(y, FairnessSpec(0.5, p))
+        if p == 2.0:
+            exact = oracles.exact_fair_projection_p2(y, 0.5)
+        else:
+            exact = oracles.capped_simplex_projection(y, 0.5)
+        assert np.abs(res.point.values - exact).max() <= 1e-9
+        assert res.residual <= 1e-8
+
+    def test_finite_p_point_is_optimal_on_quantile_profile(self):
+        n = 100
+        y = -np.log1p(-(np.arange(n) + 0.5) / n)  # unit-exponential quantiles
+        res = project_fair_region(y, FairnessSpec(0.5, 4.0))
+        assert res.residual <= 1e-8
+        assert oracles.fair_projection_kkt_residual(res.point.values, y, 0.5, 4.0) <= 1e-6
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
