@@ -18,13 +18,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import INFINITY, NonNegVector
-from .fairness import FairnessSpec, dispersion_report
+from .core import INFINITY
+from .fairness import MEMBERSHIP_TOL, FairnessSpec, dispersion_report
 from .geometry import project_fair_region
 from .solver import ObjectiveSpec, pareto_sweep, solve
 from .verifier import SUITE_NAMES, VerifyConfig, _p_token, run_suite
 
 DEFAULT_SEED = 42
+
+#: Most epsilon values a sweep grid may hold; each one is a full solve.
+MAX_GRID_POINTS = 10000
 
 
 class CliError(Exception):
@@ -80,17 +83,18 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(t) for t in parts)
     except ValueError:
         raise CliError(f"invalid grid {text!r}: expected numeric start:stop:step")
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):
         raise CliError(f"invalid grid {text!r}: need step > 0 and stop >= start")
     if start < 0.0 or stop > 1.0:
         raise CliError(f"invalid grid {text!r}: epsilon values must lie in [0, 1]")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    grid = [min(start + k * step, 1.0) for k in range(count + 1)]
-    return grid
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise CliError(f"invalid grid {text!r}: more than {MAX_GRID_POINTS} points")
+    return [min(start + k * step, 1.0) for k in range(math.floor(span) + 1)]
 
 
-def _read_rows(path: str, nonneg: bool = True) -> list[np.ndarray]:
-    """Parse a vector CSV: one vector per line, '#' lines are comments."""
+def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
+    """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -121,7 +125,7 @@ def _read_rows(path: str, nonneg: bool = True) -> list[np.ndarray]:
         rows.append(values)
     if not rows:
         raise CliError(f"{path}: no vectors found")
-    return rows
+    return np.array(rows)
 
 
 def _read_objective(path: str) -> ObjectiveSpec:
@@ -148,41 +152,40 @@ def _emit(doc: dict, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _report_entries(report) -> list[dict]:
-    return [
-        {
-            "p": _p_token(entry.p),
-            "eps_max": entry.eps_max,
-            "member": entry.member,
-            "cv_bound": entry.cv_bound,
-        }
-        for entry in report.per_p
-    ]
+def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):
+    """The CSV's rows as one array, with one dispersion_report call over them all."""
+    ps = _parse_p_list(args.p)
+    rows = _read_rows(args.input)
+    try:
+        return ps, dispersion_report(rows, ps, eps, tol=tol)
+    except ValueError as exc:
+        raise CliError(f"{args.input}: {exc}")
 
 
 def _cmd_check(args) -> tuple[dict, int]:
     eps = _parse_eps(args.eps)
-    ps = _parse_p_list(args.p)
-    rows = _read_rows(args.input)
-    results = []
-    all_members = True
-    for index, row in enumerate(rows):
-        try:
-            vector = NonNegVector(row)
-        except ValueError as exc:
-            raise CliError(f"{args.input}: vector {index}: {exc}")
-        report = dispersion_report(vector, ps, eps, tol=args.tol)
-        members = all(entry.member for entry in report.per_p)
-        all_members = all_members and members
-        results.append(
-            {
-                "index": index,
-                "cv": report.cv,
-                "mean": report.mean,
-                "per_p": _report_entries(report),
-                "member_all_p": members,
-            }
+    ps, report = _assess(args, eps, args.tol)
+    per_p = [
+        (_p_token(e.p), e.eps_max.tolist(), e.member.tolist(), e.cv_bound)
+        for e in report.per_p
+    ]
+    members = np.logical_and.reduce([e.member for e in report.per_p])
+    results = [
+        {
+            "index": i,
+            "cv": cv,
+            "mean": mean,
+            "per_p": [
+                {"p": p, "eps_max": em[i], "member": mb[i], "cv_bound": bound}
+                for p, em, mb, bound in per_p
+            ],
+            "member_all_p": member,
+        }
+        for i, (cv, mean, member) in enumerate(
+            zip(report.cv.tolist(), report.mean.tolist(), members.tolist())
         )
+    ]
+    all_members = bool(members.all())
     doc = _document(
         "check",
         {
@@ -197,24 +200,12 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_epsmax(args) -> tuple[dict, int]:
-    ps = _parse_p_list(args.p)
-    rows = _read_rows(args.input)
-    results = []
-    for index, row in enumerate(rows):
-        try:
-            vector = NonNegVector(row)
-        except ValueError as exc:
-            raise CliError(f"{args.input}: vector {index}: {exc}")
-        report = dispersion_report(vector, ps, 0.0)
-        results.append(
-            {
-                "index": index,
-                "per_p": [
-                    {"p": _p_token(entry.p), "eps_max": entry.eps_max}
-                    for entry in report.per_p
-                ],
-            }
-        )
+    ps, report = _assess(args, 0.0)
+    per_p = [(_p_token(e.p), e.eps_max.tolist()) for e in report.per_p]
+    results = [
+        {"index": i, "per_p": [{"p": p, "eps_max": em[i]} for p, em in per_p]}
+        for i in range(len(report.cv))
+    ]
     doc = _document(
         "epsmax",
         {"input": args.input, "p": [_p_token(p) for p in ps]},

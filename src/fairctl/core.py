@@ -169,6 +169,19 @@ class PowerSum(NamedTuple):
     weights: WeightVector
 
 
+def _power_sum_rows(rows: np.ndarray, p: float):
+    """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum.
+
+    Along the last axis, for a 1-D vector or stacked rows; terms with
+    x_i = 0 contribute 0 to the derivative (0 * ln 0 = 0).
+    """
+    powered = rows**p
+    value = powered.sum(axis=-1, keepdims=True)
+    safe = np.where(rows > 0, rows, 1.0)
+    derivative = (powered * np.log(safe)).sum(axis=-1)
+    return value[..., 0], derivative, powered / value
+
+
 def power_sum(x: SimplexVector, p: float) -> PowerSum:
     """sum_i x_i^p together with its derivative in p and the weights x_i^p / sum.
 
@@ -178,19 +191,19 @@ def power_sum(x: SimplexVector, p: float) -> PowerSum:
     p = check_exponent(p)
     if math.isinf(p):
         raise ValueError("power_sum requires a finite exponent")
-    v = x.values
-    powered = v**p
-    value = float(powered.sum())
-    safe = np.where(v > 0, v, 1.0)
-    derivative = float((powered * np.log(safe)).sum())
-    return PowerSum(value, derivative, WeightVector(powered / value))
+    value, derivative, weights = _power_sum_rows(x.values, p)
+    return PowerSum(float(value), float(derivative), WeightVector(weights))
+
+
+def _shannon_rows(w: np.ndarray) -> np.ndarray:
+    """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention."""
+    safe = np.where(w > 0, w, 1.0)
+    return -(w * np.log(safe)).sum(axis=-1)
 
 
 def shannon_entropy(w: WeightVector) -> float:
     """-sum w_i ln w_i with the 0 ln 0 = 0 convention; lies in [0, ln n]."""
-    v = w.values
-    safe = np.where(v > 0, v, 1.0)
-    return float(-(v * np.log(safe)).sum())
+    return float(_shannon_rows(w.values))
 
 
 def renyi_entropy(w: WeightVector, alpha: float) -> float:

@@ -8,6 +8,12 @@ The constraint is scale-invariant, so everything can be phrased on the
 probability simplex, where it becomes the lp-ball condition
 ||x||_p <= 1 / (1 + eps * D_p). eps = 0 is vacuous, eps = 1 pins x to the
 uniform point e/n.
+
+Each formula has one implementation: a kernel along the last axis that
+takes one vector or stacked (k, n) rows (``_eps_rows``, ``_member_rows``,
+``_cv2_rows``, ``_cv_bound_rows``). The public scalar functions validate
+their input and call it; ``dispersion_report`` assesses all rows of an
+array in one call, and the verifier calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .core import (
     SimplexVector,
     check_exponent,
     dispersion_constant,
+    # no caller here, but the benchmark's fairbench/tracing.py wraps these two names
     normalize,
     p_norm,
     _pnorm_rows,
@@ -50,16 +57,19 @@ class FairnessSpec:
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
-def _clamp_unit(value: float, tol: float = EPS_CLAMP_TOL) -> float:
-    if value < 0.0:
-        if value < -tol:
-            raise ValueError(f"threshold {value!r} undershoots 0 beyond round-off")
-        return 0.0
-    if value > 1.0:
-        if value > 1.0 + tol:
-            raise ValueError(f"threshold {value!r} overshoots 1 beyond round-off")
-        return 1.0
-    return value
+def _eps_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """eps_max (1 - ||x||_p) / (D_p ||x||_p) along the last axis of simplex rows.
+
+    Round-off excursions outside [0, 1] of at most EPS_CLAMP_TOL are
+    clamped; anything larger raises.
+    """
+    t = _pnorm_rows(rows, p)
+    d = dispersion_constant(rows.shape[-1], p)
+    vals = (1.0 - t) / (d * t)
+    overshoot = max(float(-vals.min(initial=0.0)), float(vals.max(initial=1.0) - 1.0))
+    if overshoot > EPS_CLAMP_TOL:
+        raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
+    return np.clip(vals, 0.0, 1.0)
 
 
 def eps_max(x: SimplexVector, p: float) -> float:
@@ -69,21 +79,13 @@ def eps_max(x: SimplexVector, p: float) -> float:
     1 exactly at the uniform point. Round-off excursions outside [0, 1] of at
     most 1e-12 are clamped; anything larger raises.
     """
-    p = check_exponent(p)
-    t = p_norm(x, p)
-    d = dispersion_constant(x.n, p)
-    return _clamp_unit((1.0 - t) / (d * t))
+    return float(_eps_rows(x.values, check_exponent(p)))
 
 
-def _eps_rows(rows: np.ndarray, n: int, p: float) -> np.ndarray:
-    """Vectorized eps_max over stacked simplex rows."""
-    t = _pnorm_rows(rows, p)
-    d = dispersion_constant(n, p)
-    vals = (1.0 - t) / (d * t)
-    overshoot = max(float(-vals.min(initial=0.0)), float(vals.max(initial=1.0) - 1.0))
-    if overshoot > EPS_CLAMP_TOL:
-        raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
-    return np.clip(vals, 0.0, 1.0)
+def _member_rows(rows: np.ndarray, eps: float, p: float, tol: float) -> np.ndarray:
+    """(1 + eps D_p) ||x||_p <= ||x||_1 (1 + tol) along the last axis."""
+    d = dispersion_constant(rows.shape[-1], p)
+    return (1.0 + eps * d) * _pnorm_rows(rows, p) <= _pnorm_rows(rows, 1.0) * (1.0 + tol)
 
 
 def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -91,9 +93,13 @@ def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) ->
 
     The tolerance is relative, so the verdict is identical for x and t*x.
     """
-    d = dispersion_constant(x.n, spec.p)
-    lhs = (1.0 + spec.epsilon * d) * p_norm(x, spec.p)
-    return bool(lhs <= p_norm(x, 1.0) * (1.0 + tol))
+    return bool(_member_rows(x.values, spec.epsilon, spec.p, tol))
+
+
+def _cv2_rows(rows: np.ndarray) -> np.ndarray:
+    """Squared CV n ||x||_2^2 - 1 along the last axis of simplex rows."""
+    t = _pnorm_rows(rows, 2.0)
+    return rows.shape[-1] * (t * t) - 1.0
 
 
 def coefficient_of_variation(x: SimplexVector) -> float:
@@ -102,8 +108,14 @@ def coefficient_of_variation(x: SimplexVector) -> float:
     This is the algebraic form of (std / mean) with mean fixed at 1/n by the
     simplex constraint.
     """
-    square = x.n * p_norm(x, 2.0) ** 2 - 1.0
-    return math.sqrt(max(square, 0.0))
+    return math.sqrt(max(float(_cv2_rows(x.values)), 0.0))
+
+
+def _cv_bound_rows(n: int, p: float, eps):
+    """(D_p+1)^2 / (1 + eps D_p)^2 - 1 for a scalar eps or an array of them."""
+    d = dispersion_constant(n, p)
+    ratio = (d + 1.0) / (1.0 + eps * d)
+    return ratio * ratio - 1.0
 
 
 def cv_bound(n: int, spec: FairnessSpec) -> float:
@@ -112,9 +124,7 @@ def cv_bound(n: int, spec: FairnessSpec) -> float:
     Strictly decreasing in eps, from (D_p+1)^2 - 1 at eps = 0 down to exactly
     0 at eps = 1.
     """
-    d = dispersion_constant(n, spec.p)
-    ratio = (d + 1.0) / (1.0 + spec.epsilon * d)
-    return ratio * ratio - 1.0
+    return float(_cv_bound_rows(n, spec.p, spec.epsilon))
 
 
 @dataclass(frozen=True)
@@ -190,50 +200,63 @@ def cone_constraint(n: int, spec: FairnessSpec) -> ConeConstraint:
 
 @dataclass(frozen=True)
 class DispersionEntry:
-    """Per-exponent diagnostics: threshold, membership verdict, and CV bound."""
+    """Per-exponent diagnostics: thresholds, membership verdicts, and the CV bound."""
 
     p: float
-    eps_max: float
-    member: bool
+    eps_max: np.ndarray
+    member: np.ndarray
     cv_bound: float
 
 
 @dataclass(frozen=True)
 class DispersionReport:
-    """CV plus per-exponent thresholds and verdicts for one normalized vector."""
+    """CV, mean, and per-exponent entries for normalized rows, one value per row."""
 
-    cv: float
-    mean: float
+    cv: np.ndarray
+    mean: np.ndarray
     per_p: tuple[DispersionEntry, ...]
 
 
 def dispersion_report(
-    x: NonNegVector,
+    rows,
     ps: list[float],
     eps: float,
     tol: float = MEMBERSHIP_TOL,
 ) -> DispersionReport:
-    """Normalize x and assess it against every requested exponent at one eps.
+    """Normalize every row and assess it against every requested exponent at one eps.
 
-    Entries come back sorted by p ascending with infinity last.
+    ``rows`` is a (k, n) array, which gives length-k arrays, or a single
+    vector (a NonNegVector or a 1-D array), which gives numpy scalars. A row
+    with a non-finite or negative entry, or with no positive entry, raises
+    ValueError naming its index. Entries come back sorted by p ascending
+    with infinity last.
     """
     if not ps:
         raise ValueError("at least one exponent is required")
-    ordered = sorted(check_exponent(p) for p in ps)
-    y = normalize(x)
-    entries = []
-    for p in ordered:
-        spec = FairnessSpec(eps, p)
-        entries.append(
-            DispersionEntry(
-                p=p,
-                eps_max=eps_max(y, p),
-                member=is_fair(y, spec, tol=tol),
-                cv_bound=cv_bound(y.n, spec),
-            )
-        )
+    specs = sorted((FairnessSpec(eps, p) for p in ps), key=lambda spec: spec.p)
+    x = rows.values if isinstance(rows, NonNegVector) else np.asarray(rows, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] < 2:
+        raise ValueError(f"expected rows of dimension at least 2, got shape {x.shape}")
+    for ok, why in (
+        (np.isfinite(x).all(axis=-1), "entries must be finite"),
+        ((x >= 0).all(axis=-1), "entries must be nonnegative"),
+        ((x > 0).any(axis=-1), "the zero vector is not accepted"),
+    ):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise ValueError(f"vector {bad[0]}: {why}")
+    y = x / x.sum(axis=-1, keepdims=True)
+    n = y.shape[-1]
     return DispersionReport(
-        cv=coefficient_of_variation(y),
-        mean=float(y.values.mean()),
-        per_p=tuple(entries),
+        cv=np.sqrt(np.maximum(_cv2_rows(y), 0.0)),
+        mean=y.mean(axis=-1),
+        per_p=tuple(
+            DispersionEntry(
+                p=spec.p,
+                eps_max=_eps_rows(y, spec.p),
+                member=_member_rows(y, spec.epsilon, spec.p, tol),
+                cv_bound=float(_cv_bound_rows(n, spec.p, spec.epsilon)),
+            )
+            for spec in specs
+        ),
     )

@@ -10,7 +10,7 @@ optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class ObjectiveSpec:
     """A linear objective c . x to maximize; coefficients may be any finite reals."""
 
     coefficients: np.ndarray
-    kind: str = "linear"
 
     def __post_init__(self):
         arr = np.array(self.coefficients, dtype=float)
@@ -32,8 +31,6 @@ class ObjectiveSpec:
             raise ValueError(f"coefficients must be a 1-D vector of dimension >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        if self.kind != "linear":
-            raise ValueError(f"only linear objectives are supported, got {self.kind!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
 
@@ -52,7 +49,7 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimum, diagnostics, and (optionally) the iterate trace."""
+    """Optimum and its diagnostics."""
 
     x_opt: SimplexVector
     objective_value: float
@@ -60,7 +57,6 @@ class SolveResult:
     converged: bool
     eps_max_at_opt: float
     cv_at_opt: float
-    trace: tuple = field(default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,6 @@ def solve(
     step: float | None = None,
     tol: float = 1e-8,
     max_iter: int = 20000,
-    keep_trace: bool = False,
 ) -> SolveResult:
     """Maximize obj over the fair region via projected gradient ascent.
 
@@ -100,7 +95,6 @@ def solve(
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
     x = np.full(n, 1.0 / n)
-    trace = [x.copy()] if keep_trace else None
     converged = False
     iterations = 0
     point = SimplexVector(x)
@@ -109,8 +103,6 @@ def solve(
         x_new = point.values
         delta = float(np.abs(x_new - x).max())
         x = x_new
-        if trace is not None:
-            trace.append(x.copy())
         if delta <= tol:
             converged = True
             break
@@ -121,7 +113,6 @@ def solve(
         converged=converged,
         eps_max_at_opt=eps_max(point, spec.p),
         cv_at_opt=coefficient_of_variation(point),
-        trace=tuple(trace) if trace is not None else (),
     )
 
 

@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimplexVector, check_exponent, dispersion_constant, _pnorm_rows
-from .fairness import _eps_rows
+from .core import (
+    SimplexVector,
+    check_exponent,
+    dispersion_constant,
+    _pnorm_rows,
+    _power_sum_rows,
+    _shannon_rows,
+)
+from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows
 
 SUITE_NAMES = (
     "cv-bound",
@@ -230,25 +237,15 @@ def _row_example(X: np.ndarray, n: int, p: float, **extra):
     return make
 
 
-def _point_example(vec: np.ndarray, n: int, p: float, **extra):
-    def make(_: int) -> dict:
-        info = {"n": n, "p": _p_token(p), "vector": vec.tolist()}
-        info.update(extra)
-        return info
-
-    return make
-
-
 def _finite_ps(cfg: VerifyConfig) -> list[float]:
     return [p for p in cfg.p_values if math.isfinite(p)]
 
 
-def _weights_and_entropy(X: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    powered = X**p
-    weights = powered / powered.sum(axis=1, keepdims=True)
-    safe = np.where(weights > 0, weights, 1.0)
-    entropy = -(weights * np.log(safe)).sum(axis=1)
-    return weights, entropy
+def _add_uniform_gap(rec: _Recorder, cfg: VerifyConfig, n: int, p: float) -> None:
+    """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
+    uniform = np.full((1, n), 1.0 / n)
+    gap = abs((1.0 + dispersion_constant(n, p)) * float(_pnorm_rows(uniform, p)[0]) - 1.0)
+    rec.add([cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0))
 
 
 def _suite_cv_bound(cfg: VerifyConfig) -> SuiteResult:
@@ -257,12 +254,9 @@ def _suite_cv_bound(cfg: VerifyConfig) -> SuiteResult:
     for n in cfg.n_values:
         rng = _generator(cfg.seed, "cv-bound", n)
         X = _sample_rows(n, cfg.samples, rng)
-        cv2 = n * _pnorm_rows(X, 2.0) ** 2 - 1.0
+        cv2 = _cv2_rows(X)
         for p in cfg.p_values:
-            eps = _eps_rows(X, n, p)
-            d = dispersion_constant(n, p)
-            ratio = (d + 1.0) / (1.0 + eps * d)
-            bound = ratio * ratio - 1.0
+            bound = _cv_bound_rows(n, p, _eps_rows(X, p))
             rec.add(bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p))
     return rec.result()
 
@@ -301,7 +295,6 @@ def _suite_equivalence(cfg: VerifyConfig) -> SuiteResult:
     for n in cfg.n_values:
         rng = _generator(cfg.seed, "equivalence", n)
         X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        uniform = np.full(n, 1.0 / n)
         for p in cfg.p_values:
             t = _pnorm_rows(X, p)
             d = dispersion_constant(n, p)
@@ -312,10 +305,7 @@ def _suite_equivalence(cfg: VerifyConfig) -> SuiteResult:
                 True,
                 _row_example(X, n, p, epsilon=1.0),
             )
-            gap = abs((1.0 + d) * float(_pnorm_rows(uniform, p)) - 1.0)
-            rec.add(
-                [cfg.tol - gap], 0.0, False, _point_example(uniform, n, p, epsilon=1.0)
-            )
+            _add_uniform_gap(rec, cfg, n, p)
     return rec.result()
 
 
@@ -326,7 +316,6 @@ def _suite_corner(cfg: VerifyConfig) -> SuiteResult:
         rng = _generator(cfg.seed, "corner", n)
         eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
         vertices = np.eye(n)
-        uniform = np.full(n, 1.0 / n)
         for p in cfg.p_values:
             d = dispersion_constant(n, p)
             tv = _pnorm_rows(vertices, p)
@@ -343,10 +332,7 @@ def _suite_corner(cfg: VerifyConfig) -> SuiteResult:
             margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
             rec.add(margins, STRICT_MARGIN, True, example)
             rec.add(1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0))
-            gap = abs((1.0 + d) * float(_pnorm_rows(uniform, p)) - 1.0)
-            rec.add(
-                [cfg.tol - gap], 0.0, False, _point_example(uniform, n, p, epsilon=1.0)
-            )
+            _add_uniform_gap(rec, cfg, n, p)
     return rec.result()
 
 
@@ -363,11 +349,8 @@ def _suite_entropy_identity(cfg: VerifyConfig) -> SuiteResult:
         blocks.append(np.eye(n))
         for p in _finite_ps(cfg):
             for X in blocks:
-                powered = X**p
-                total = powered.sum(axis=1)
-                safe = np.where(X > 0, X, 1.0)
-                derivative = (powered * np.log(safe)).sum(axis=1)
-                _, entropy = _weights_and_entropy(X, p)
+                total, derivative, weights = _power_sum_rows(X, p)
+                entropy = _shannon_rows(weights)
                 gap = np.abs(np.log(total) - p * derivative / total - entropy)
                 rec.add(cfg.tol - gap, 0.0, False, _row_example(X, n, p))
     return rec.result()
@@ -381,7 +364,7 @@ def _suite_entropy_sandwich(cfg: VerifyConfig) -> SuiteResult:
         X = _sample_rows(n, cfg.samples, rng)
         for p in _finite_ps(cfg):
             t = _pnorm_rows(X, p)
-            _, entropy = _weights_and_entropy(X, p)
+            entropy = _shannon_rows(_power_sum_rows(X, p)[2])
             rec.add(entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
             upper = -(p / (p - 1.0)) * np.log(t)
             rec.add(upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
@@ -394,19 +377,17 @@ def _suite_lemma_a1(cfg: VerifyConfig) -> SuiteResult:
     for n in cfg.n_values:
         rng = _generator(cfg.seed, "lemma-a1", n)
         X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        uniform = np.full(n, 1.0 / n)
+        uniform = np.full((1, n), 1.0 / n)
         for p in _finite_ps(cfg):
             d = dispersion_constant(n, p)
             t = _pnorm_rows(X, p)
             expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
             rec.add(-expr, STRICT_MARGIN, True, _row_example(X, n, p))
-            tu = float(_pnorm_rows(uniform, p))
+            tu = float(_pnorm_rows(uniform, p)[0])
             boundary = (p / (p - 1.0)) * (-math.log(tu)) / (1.0 - tu) - math.log(n) * (
                 1.0 + 1.0 / d
             )
-            rec.add(
-                [cfg.tol - abs(boundary)], 0.0, False, _point_example(uniform, n, p)
-            )
+            rec.add([cfg.tol - abs(boundary)], 0.0, False, _row_example(uniform, n, p))
     return rec.result()
 
 
@@ -416,7 +397,7 @@ def _suite_f_decreasing(cfg: VerifyConfig) -> SuiteResult:
     for n in cfg.n_values:
         rng = _generator(cfg.seed, "f-decreasing", n)
         X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        thresholds = np.column_stack([_eps_rows(X, n, p) for p in cfg.p_values])
+        thresholds = np.column_stack([_eps_rows(X, p) for p in cfg.p_values])
         for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
             margins = thresholds[:, j] - thresholds[:, j + 1]
             rec.add(

@@ -10,7 +10,7 @@ import pytest
 
 import fairctl
 from fairctl import __version__
-from fairctl.cli import main
+from fairctl.cli import MAX_GRID_POINTS, main
 
 import oracles
 
@@ -104,6 +104,40 @@ class TestEpsmax:
         vals = [e["eps_max"] for e in doc["results"]["vectors"][0]["per_p"]]
         assert vals == pytest.approx([0.41421356237309504, 0.38648820956430937, 1 / 3], abs=1e-9)
         assert [e["p"] for e in doc["results"]["vectors"][0]["per_p"]] == [2.0, 3.0, "inf"]
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("command", [["check", "--eps", "0.5"], ["epsmax"]])
+    def test_zero_row_names_its_index(self, capsys, tmp_path, command):
+        path = write(tmp_path / "z.csv", "1,2,3\n# comment\n0,0,0\n4,5,6\n")
+        code, out, err = run(capsys, *command, "--p", "2", "--input", path)
+        assert code == 2
+        assert out == ""
+        assert "vector 1" in err
+
+    def test_reports_equal_the_scalar_functions_bit_for_bit(self, capsys, tmp_path):
+        rng = np.random.default_rng(2024)
+        dense = rng.standard_exponential((150, 7))
+        sparse = np.where(rng.random((150, 7)) < 0.4, 0.0, dense)
+        sparse[:, 3] += 0.5
+        wide = 10.0 ** rng.uniform(-12.0, 3.0, size=(150, 7))
+        rows = np.vstack([dense, sparse, wide])
+        path = write(tmp_path / "rows.csv", "".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+        ps = [2.0, 3.0, 4.0, math.inf]
+        _, check = run_json(capsys, "check", "--eps", "0.35", "--p", "2,3,4,inf", "--input", path)
+        _, epsmax = run_json(capsys, "epsmax", "--p", "2,3,4,inf", "--input", path)
+        verdicts = set()
+        pairs = zip(rows, check["results"]["vectors"], epsmax["results"]["vectors"])
+        for row, checked, thresholds in pairs:
+            x = fairctl.SimplexVector(row / row.sum())
+            assert checked["cv"] == fairctl.coefficient_of_variation(x)
+            for p, entry, threshold in zip(ps, checked["per_p"], thresholds["per_p"]):
+                spec = fairctl.FairnessSpec(0.35, p)
+                assert entry["eps_max"] == threshold["eps_max"] == fairctl.eps_max(x, p)
+                assert entry["member"] is fairctl.is_fair(x, spec)
+                assert entry["cv_bound"] == fairctl.cv_bound(x.n, spec)
+                verdicts.add(entry["member"])
+        assert verdicts == {True, False}
 
 
 class TestProject:
@@ -239,6 +273,23 @@ class TestSweep:
                 capsys, "sweep", "--objective", c321_csv, "--p", "2", "--eps-grid", grid
             )
             assert code == 2
+
+    def test_oversized_grid_rejected_before_it_is_built(self, tmp_path, c321_csv):
+        # 0:1:1e-9 is a billion values; the child may map at most 1 GiB, so
+        # building the list fails there instead of exhausting this machine
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from fairctl.cli import main\n"
+            f"sys.exit(main(['sweep', '--objective', {c321_csv!r}, '--p', '2', "
+            "'--eps-grid', '0:1:1e-9']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fairctl.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"more than {MAX_GRID_POINTS} points" in proc.stderr
 
     def test_objective_may_have_negative_coefficients(self, capsys, tmp_path):
         path = write(tmp_path / "neg_obj.csv", "-1,2,0.5\n")

@@ -285,3 +285,19 @@ class TestDispersionReport:
     def test_rejects_empty_p_list(self):
         with pytest.raises(ValueError):
             dispersion_report(NonNegVector([1.0, 2.0]), [], eps=0.5)
+
+    def test_rows_give_one_value_per_row(self):
+        rows = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [7.0, 0.0, 0.0, 0.0]])
+        report = dispersion_report(rows, [INFINITY, 2], eps=0.3)
+        assert report.cv.shape == report.mean.shape == (3,)
+        assert [e.p for e in report.per_p] == [2.0, INFINITY]
+        np.testing.assert_array_equal(report.per_p[1].eps_max, [1.0 / 3.0, 1.0, 0.0])
+        np.testing.assert_array_equal(report.per_p[1].member, [True, True, False])
+
+    def test_bad_row_is_named_by_index(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="vector 2: the zero vector"):
+            dispersion_report(rows, [2], eps=0.5)
+        rows[1, 0] = -1.0
+        with pytest.raises(ValueError, match="vector 1: entries must be nonnegative"):
+            dispersion_report(rows, [2], eps=0.5)

@@ -1,0 +1,48 @@
+"""The benchmark's tracer (fairbench/tracing.py, used read-only) still fits the package.
+
+The tracer replaces imported names inside the fairctl modules by name; a
+refactor that drops or renames one of them breaks ``--trace 1`` runs of
+the benchmark, and this test instead.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import fairctl
+import fairctl.cli
+
+TRACING = Path(__file__).resolve().parents[1] / "fairbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("fairbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_runs_and_uninstalls(tmp_path):
+    tracing = load_tracing()
+    originals = {
+        (module, attr): getattr(getattr(fairctl, module), attr)
+        for module, attr, _ in tracing.BOUNDARIES
+    }
+    tracer = tracing.Tracer()
+    tracer.install(fairctl)
+    try:
+        for (module, attr), original in originals.items():
+            assert getattr(getattr(fairctl, module), attr) is not original, (module, attr)
+        path = tmp_path / "v.csv"
+        path.write_text("1,2,3\n1,0,0\n5,5,5\n")
+        out = tmp_path / "report.json"
+        argv = ["check", "--input", str(path), "--eps", "0.2", "--p", "2,inf", "--out", str(out)]
+        assert tracer.call(0, "check", argv) == 1
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in originals.items():
+        assert getattr(getattr(fairctl, module), attr) is original, (module, attr)
+    assert len(json.loads(out.read_text())["results"]["vectors"]) == 3
+    metrics = tracer.metrics(1, {})
+    assert metrics["fairness.dispersion_report.calls"] == 1
+    assert metrics["core.pnorm_rows.calls"] > 0
