@@ -5,8 +5,8 @@ constraint (1 + eps * D_p) ||x||_p <= ||x||_1 on nonnegative vectors:
 vacuous at eps = 0, forcing all components equal at eps = 1, and convex for
 every p. The package provides membership tests and thresholds, coefficient
 of variation bounds, constraint generation, Euclidean projection onto the
-fair region, a projected-gradient solver with Pareto sweeps over eps, and a
-seeded sampling verifier for the family's theorems.
+fair region, an exact solver for linear objectives with Pareto sweeps over
+eps, and a seeded sampling verifier for the family's theorems.
 """
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ through the FAIRCTL_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def _parse_p_list(text: str) -> list[float]:
 
 
 def _positive(kind):
-    """argparse type for tolerances, steps and iteration caps: a finite kind > 0."""
+    """argparse type for tolerances and iteration caps: a finite kind > 0."""
 
     def parse(text: str):
         try:
@@ -93,39 +94,61 @@ def _parse_grid(text: str) -> list[float]:
     return [min(start + k * step, 1.0) for k in range(math.floor(span) + 1)]
 
 
+def _value_error(rows: np.ndarray, nonneg: bool) -> tuple[int, str] | None:
+    """Index of the first row with a non-finite (or, with nonneg, negative) entry, and what is wrong."""
+    finite = np.isfinite(rows).all(axis=-1)
+    good = finite & ~(rows < 0).any(axis=-1) if nonneg else finite
+    if good.all():
+        return None
+    index = int(np.argmin(good))
+    return index, "entries must be finite" if not finite[index] else "entries must be nonnegative"
+
+
 def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
-    """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments."""
+    """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments.
+
+    Lines are parsed into float lists, up to the first line whose shape is
+    wrong, and their entries are checked as one array. Every error names
+    the first bad line in file order, and within a line a bad entry comes
+    before a bad shape.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}")
-    rows: list[np.ndarray] = []
-    width = None
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    shape_error = None  # (line number, message, its values if it parsed)
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         try:
-            values = np.array([float(tok) for tok in text.split(",")], dtype=float)
+            values = [float(tok) for tok in text.split(",")]
         except ValueError:
-            raise CliError(f"{path}:{lineno}: malformed CSV row")
-        if not np.all(np.isfinite(values)):
-            raise CliError(f"{path}:{lineno}: entries must be finite")
-        if nonneg and np.any(values < 0):
-            raise CliError(f"{path}:{lineno}: entries must be nonnegative")
-        if values.size < 2:
-            raise CliError(f"{path}:{lineno}: vectors need at least 2 entries")
-        if width is None:
-            width = values.size
-        elif values.size != width:
-            raise CliError(
-                f"{path}:{lineno}: inconsistent dimension {values.size} (expected {width})"
-            )
+            shape_error = (lineno, "malformed CSV row", None)
+            break
+        if len(values) < 2:
+            shape_error = (lineno, "vectors need at least 2 entries", values)
+            break
+        if rows and len(values) != len(rows[0]):
+            message = f"inconsistent dimension {len(values)} (expected {len(rows[0])})"
+            shape_error = (lineno, message, values)
+            break
         rows.append(values)
+        linenos.append(lineno)
+    array = np.array(rows, dtype=float)
+    found = _value_error(array, nonneg)
+    if found is not None:
+        raise CliError(f"{path}:{linenos[found[0]]}: {found[1]}")
+    if shape_error is not None:
+        lineno, message, values = shape_error
+        found = None if values is None else _value_error(np.array([values]), nonneg)
+        raise CliError(f"{path}:{lineno}: {message if found is None else found[1]}")
     if not rows:
         raise CliError(f"{path}: no vectors found")
-    return np.array(rows)
+    return array
 
 
 def _read_objective(path: str) -> ObjectiveSpec:
@@ -252,13 +275,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
     eps = _parse_eps(args.eps)
     p = _parse_p(args.p)
     obj = _read_objective(args.objective)
-    res = solve(
-        obj,
-        FairnessSpec(eps, p),
-        step=args.step,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    res = solve(obj, FairnessSpec(eps, p), tol=args.tol, max_iter=args.max_iter)
     doc = _document(
         "solve",
         {
@@ -266,7 +283,6 @@ def _cmd_solve(args) -> tuple[dict, int]:
             "coefficients": obj.coefficients.tolist(),
             "eps": eps,
             "p": _p_token(p),
-            "step": args.step,
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
@@ -275,6 +291,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
             "objective_value": res.objective_value,
             "iterations": res.iterations,
             "converged": res.converged,
+            "duality_gap": res.duality_gap,
             "eps_max_at_opt": res.eps_max_at_opt,
             "cv_at_opt": res.cv_at_opt,
         },
@@ -409,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--objective", required=True, help="CSV file with one coefficient row")
     solve_cmd.add_argument("--eps", type=float, required=True)
     solve_cmd.add_argument("--p", required=True)
-    solve_cmd.add_argument("--step", type=_positive(float), default=None)
     solve_cmd.add_argument("--tol", type=_positive(float), default=1e-8)
     solve_cmd.add_argument("--max-iter", type=_positive(int), default=20000)
     solve_cmd.add_argument("--out", default=None)
@@ -445,10 +461,13 @@ _COMMANDS = {
 }
 
 
+#: The parser, built on the first call of main and reused by later ones.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

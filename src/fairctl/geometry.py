@@ -1,17 +1,20 @@
 """Euclidean projections: simplex, nonnegative lp ball, and their intersection.
 
 The fair region on the simplex is Delta_n intersected with the nonnegative
-lp ball of radius 1 / (1 + eps D_p). Its projection is exact: dualizing
+lp ball of radius 1 / (1 + eps D_p). Its projection is exact. Dualizing
 sum(x) = 1 with a multiplier mu leaves x(mu), the lp-ball projection of
-y - mu e, whose sum never increases with mu, so one monotone root on mu
-finds the optimum. At p = infinity x(mu) is a clip and the root is the
-capped-simplex projection (Wang & Lu 2015, arXiv:1503.01002). The lp-ball
-projection itself is a monotone root on the ball multiplier, and both
-roots share one bracketed secant search.
+y - mu e, whose sum never increases with mu. At p = 2 x(mu) is a radial
+scaling and at p = infinity a clip, so one monotone root on mu finds the
+optimum; at p = infinity that root is the capped-simplex projection (Wang &
+Lu 2015, arXiv:1503.01002). At finite p > 2 x(mu) needs the ball
+multiplier kappa as well, so one safeguarded Newton iteration solves for
+mu and kappa together. The lp-ball projection alone is a monotone root on
+kappa, and the monotone roots share one bracketed secant search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +43,9 @@ class ProjectionResult:
 _MAX_OUTER = 200
 #: Cap on safeguarded Newton steps per coordinate root.
 _MAX_INNER = 100
+#: Relative gap to the ball within which the fair-region projection meets it;
+#: the ball is met far more tightly than the sum.
+_BALL_TOL = 1e-13
 
 
 def _simplex_threshold(y: np.ndarray) -> float:
@@ -61,15 +67,15 @@ def project_simplex(y) -> SimplexVector:
     return SimplexVector(x / x.sum())
 
 
-def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int):
+def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int, xtol: float = 0.0):
     """Root of a nonincreasing f from a point a with f(a) = fa; step has the sign of fa.
 
     Trials step on from a, doubling the step, until f changes sign; then
     Illinois secant steps (bisection when one leaves the bracket) run until
-    |f| <= tol, the bracket shrinks to adjacent floats, or max_evals
-    evaluations are spent. Returns f at the last point evaluated (fa if
-    none) and the evaluation count; callers read the root from state that
-    f keeps, which belongs to that last point.
+    |f| <= tol, the bracket shrinks to adjacent floats or to xtol, or
+    max_evals evaluations are spent. Returns f at the last point evaluated
+    (fa if none) and the evaluation count; callers read the root from state
+    that f keeps, which belongs to that last point.
     """
     if abs(fa) <= tol or max_evals < 1:
         return fa, 0
@@ -83,7 +89,7 @@ def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals:
         evals += 1
     fc = fb
     side = 0
-    while abs(fc) > tol and evals < max_evals:
+    while abs(fc) > tol and evals < max_evals and abs(b - a) > xtol:
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
             c = 0.5 * (a + b)
@@ -182,6 +188,72 @@ def project_lp_ball(y: NonNegVector, p: float, radius: float, tol: float = 1e-10
     return ProjectionResult(point=NonNegVector(z), iterations=iterations, residual=residual)
 
 
+def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float, max_evals: int):
+    """Finite p > 2 with the ball active: Newton on (mu, kappa) for sum z = 1 and ||z||_p = radius.
+
+    z(mu, kappa) solves z + (kappa z)^(p-1) = (y - mu)_+ per coordinate;
+    both conditions fall in mu and in kappa, and the implicit-function
+    derivatives dz/dw = 1 / (1 + (p-1) kappa^(p-1) z^(p-2)) and
+    dz/dkappa = -dz/dw (p-1) kappa^(p-2) z^(p-1) give the Jacobian. The
+    start mu = min(tau, min y) - 1/n puts every coordinate in the support
+    (the Jacobian is singular when the z on it are equal), and
+    kappa = 1 / radius is the scale of the root.
+
+    mu moves only from a point where the sign of the sum gap at the ball's
+    own kappa is settled: the point is on the ball, the two gaps have
+    opposite signs (then the sign is exact), or the first-order kappa
+    correction of the sum gap is under a quarter of it. Such points narrow
+    a bracket on mu whose upper end starts at the smaller of tau and the
+    second-largest y (fewer than two coordinates cannot sum to 1 on a ball
+    of radius < 1); a step out of it bisects it, or doubles down while its
+    lower end is open. Elsewhere kappa alone takes a Newton step. Returns
+    z, both gaps and the evaluation count.
+    """
+    n = y.size
+    mu = min(tau, float(y.min())) - 1.0 / n
+    kappa = 1.0 / radius
+    lo, hi = -math.inf, min(tau, float(np.partition(y, n - 2)[n - 2]))
+    evals = 0
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            support = y > mu
+            z = _coordinate_roots(np.where(support, y - mu, 0.0), p, kappa)
+            evals += 1
+            norm = float(_pnorm_rows(z, p))
+            sum_gap, ball_gap = float(z.sum()) - 1.0, norm / radius - 1.0
+            if (abs(sum_gap) <= 1e-2 * tol and abs(ball_gap) <= _BALL_TOL) or evals >= max_evals:
+                return z, sum_gap, ball_gap, evals
+            # 1 / ((p-1) (kappa z)^(p-2)), inf where the power term vanishes, keeps huge p finite
+            u = 1.0 / ((p - 1.0) * (kappa * z) ** (p - 2.0))
+            dz_dw = np.where(support, 1.0 / (1.0 + kappa / u), 0.0)
+            dz_dkappa = -z / (kappa + u)
+            weight = (z / norm) ** (p - 1.0) / radius  # gradient of norm / radius
+            # numpy scalars, so that a singular Jacobian gives inf or nan, not an exception
+            s_mu, s_kappa = -dz_dw.sum(), dz_dkappa.sum()
+            b_mu, b_kappa = -(weight @ dz_dw), weight @ dz_dkappa
+            settled = (
+                sum_gap * ball_gap < 0.0
+                or abs(ball_gap) <= _BALL_TOL
+                or abs(s_kappa * ball_gap / b_kappa) <= 0.25 * abs(sum_gap)
+            )
+            if settled:
+                if sum_gap > 0.0:
+                    lo = mu
+                else:
+                    hi = mu
+                det = s_mu * b_kappa - s_kappa * b_mu
+                step = (ball_gap * s_kappa - sum_gap * b_kappa) / det
+                if lo < mu + step < hi:
+                    new_kappa = kappa + (sum_gap * b_mu - ball_gap * s_mu) / det
+                else:
+                    step = (0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * max(hi - mu, 1.0 / n)) - mu
+                    new_kappa = kappa - (ball_gap + b_mu * step) / b_kappa
+                mu += step
+            else:
+                new_kappa = kappa - ball_gap / b_kappa
+            kappa = new_kappa if 0.0 < new_kappa < math.inf else 0.5 * kappa
+
+
 def project_fair_region(
     y,
     spec: FairnessSpec,
@@ -191,14 +263,17 @@ def project_fair_region(
 ) -> ProjectionResult:
     """Euclidean projection onto Delta_n intersected with the fair lp ball.
 
-    x(mu), the nonnegative lp-ball projection of y - mu e, meets every
-    optimality condition but sum = 1, and its sum never increases with mu.
-    At the simplex threshold of y the sum is at most 1, so a monotone
-    search down from there finds |sum x(mu) - 1| <= tol / 100 in at most
-    max_iter evaluations of x(mu), which iterations counts. The point is
-    x(mu) / sum x(mu); its residual, the larger of that sum gap and the
-    point's violation of sum = 1, x >= 0 and the ball, certifies
-    optimality, and a residual above tol is the failure signal.
+    When the simplex projection of y, the point at the simplex threshold
+    tau, lies in the ball, it is the answer. Otherwise, at p = 2 and
+    p = infinity, x(mu), the nonnegative lp-ball projection of y - mu e,
+    meets every optimality condition but sum = 1, and its sum never
+    increases with mu, so a monotone search down from tau finds
+    |sum x(mu) - 1| <= tol / 100; at finite p > 2 one Newton iteration on
+    mu and the ball multiplier kappa (``_fair_newton``) meets both the sum
+    and the ball. iterations counts evaluations of x, at most max_iter. The
+    point is x / sum x; its residual, the larger of the remaining sum and
+    ball gaps and the point's violation of sum = 1, x >= 0 and the ball,
+    certifies optimality, and a residual above tol is the failure signal.
     """
     arr = np.asarray(y, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
@@ -215,24 +290,31 @@ def project_fair_region(
         # the feasible set is the single point e/n
         return ProjectionResult(point=SimplexVector.uniform(n), iterations=0, residual=0.0)
 
-    scale = 1.0 + spec.epsilon * dispersion_constant(n, spec.p)
+    p = spec.p
+    scale = 1.0 + spec.epsilon * dispersion_constant(n, p)
     radius = 1.0 / scale
-    x = arr  # set by every call of sum_gap
-
-    def sum_gap(mu: float) -> float:
-        nonlocal x
-        # the ball boundary is met far more tightly than the sum
-        x, _, _ = _project_lp_ball_arr(arr - mu, spec.p, radius, 1e-13 * radius)
-        return float(x.sum()) - 1.0
-
     tau = _simplex_threshold(arr)
-    gap0 = sum_gap(tau)
-    gap, evals = _decreasing_root(sum_gap, tau, gap0, gap0, 1e-2 * tol, max_iter - 1)
+    ball_gap = 0.0
+    if p == 2.0 or p == INFINITY:
+        x = arr  # set by every call of sum_gap
+
+        def sum_gap(mu: float) -> float:
+            nonlocal x
+            x, _, _ = _project_lp_ball_arr(arr - mu, p, radius, _BALL_TOL * radius)
+            return float(x.sum()) - 1.0
+
+        gap0 = sum_gap(tau)
+        gap, evals = _decreasing_root(sum_gap, tau, gap0, gap0, 1e-2 * tol, max_iter - 1)
+    else:
+        x, gap, evals = np.maximum(arr - tau, 0.0), 0.0, 0
+        if max_iter > 1 and float(_pnorm_rows(x, p)) > radius:
+            x, gap, ball_gap, evals = _fair_newton(arr, p, radius, tau, tol, max_iter - 1)
     point = x / x.sum()
     residual = max(
         abs(gap),
+        abs(ball_gap),
         abs(float(point.sum()) - 1.0),
         -float(point.min()),
-        scale * float(_pnorm_rows(point, spec.p)) - 1.0,
+        scale * float(_pnorm_rows(point, p)) - 1.0,
     )
     return ProjectionResult(point=SimplexVector(point), iterations=1 + evals, residual=residual)

@@ -211,3 +211,55 @@ def fair_projection_kkt_residual(x, y, eps: float, p: float) -> float:
     on_ball = abs(float(norm) - radius) / radius
     feasibility = max(abs(float(x.sum()) - 1.0), -float(x.min()), float(norm) / radius - 1.0)
     return max(residual, lam * on_ball, feasibility)
+
+
+def linear_max_dual_bound(c, eps: float, p: float) -> float:
+    """max c . x over the (eps, p) fair region, from above, with 50 significant digits.
+
+    For every mu, g(mu) = mu + r ||(c - mu)_+||_q with 1/p + 1/q = 1 bounds
+    the maximum (weak duality), and its minimum equals it. A float search
+    locates the minimiser (the best c_i at p = infinity, where g is
+    piecewise linear; bisection on the sign of g' otherwise), and g is then
+    evaluated there in 50-digit arithmetic, so the bound is tight up to the
+    flatness of g at its minimum, far below the test tolerances.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    if eps == 1.0:
+        return float(mp.fsum(mpf(float(v)) for v in c) / n)
+    if math.isinf(p):
+        d, q = mpf(n - 1), mpf(1)
+        gaps = np.maximum(c[None, :] - c[:, None], 0.0).sum(axis=1)
+        mu = float(c[np.argmin(c + fair_radius(n, eps, p) * gaps)])
+    else:
+        d, q = mpf(n) ** (1 - 1 / mpf(p)) - 1, mpf(p) / (mpf(p) - 1)
+        r = fair_radius(n, eps, p)
+        power = 1.0 / (p - 1.0)
+
+        def slope(mu: float) -> float:
+            a = np.maximum(c - mu, 0.0)
+            if not a.any():
+                return 1.0
+            ratios = np.where(a > 0, (a / a.max()) ** power, 0.0)
+            norm_ratio = (np.where(a > 0, (a / a.max()) ** (1.0 + power), 0.0).sum()) ** (power / (1.0 + power))
+            return 1.0 - r * float(ratios.sum() / norm_ratio)
+
+        hi = float(c.max())
+        width = max(hi - float(c.min()), 1.0)
+        lo = hi - width
+        while slope(lo) > 0.0:
+            lo -= width
+            width *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        mu = hi
+    radius = 1 / (1 + mpf(eps) * d)
+    mu_hp = mpf(mu)
+    excess = [mpf(float(v)) - mu_hp for v in c if v > mu]
+    if not excess:
+        return float(mu_hp)
+    return float(mu_hp + radius * mp.fsum(a**q for a in excess) ** (1 / q))

@@ -76,6 +76,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--eps", "0.5", "--p", "2", "--input", path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1,2,3\n1,-2,3\n1,nan,3\n", 2, "nonnegative"),
+            ("1,2,3\n1,inf,3\n1,-2,3\n", 2, "finite"),
+            ("1,2,3\n1,-2,3\n1,oops,3\n", 2, "nonnegative"),
+            ("1,2,3\n1,2,3\n1,nan\n", 3, "finite"),
+            ("1,2,3\n1,oops,3\n1,-2,3\n", 2, "malformed"),
+        ],
+    )
+    def test_first_bad_line_is_named(self, capsys, tmp_path, text, line, message):
+        # two bad lines of different kinds: the error names the earlier one
+        path = write(tmp_path / "bad.csv", text)
+        code, _, err = run(capsys, "check", "--eps", "0.5", "--p", "2", "--input", path)
+        assert code == 2
+        assert f"bad.csv:{line}: " in err
+        assert message in err
+
     def test_inconsistent_dimension_rejected(self, capsys, tmp_path):
         path = write(tmp_path / "dims.csv", "1,2,3\n1,2\n")
         code, _, err = run(capsys, "check", "--eps", "0.5", "--p", "2", "--input", path)
@@ -190,7 +208,7 @@ class TestFlagValidation:
             ("project", "--eps", "0.5", "--p", "2", "--tol", "0"),
             ("project", "--eps", "0.5", "--p", "2", "--max-iter", "0"),
             ("solve", "--eps", "0.5", "--p", "2", "--tol", "inf"),
-            ("solve", "--eps", "0.5", "--p", "2", "--step", "nan"),
+            ("solve", "--eps", "0.5", "--p", "2", "--tol", "nan"),
             ("solve", "--eps", "0.5", "--p", "2", "--max-iter", "-3"),
             ("verify", "--tol", "nan"),
         ],
@@ -214,6 +232,24 @@ class TestSolve:
         assert code == 0
         assert doc["results"]["objective_value"] == pytest.approx(2.5, abs=1e-6)
         assert doc["results"]["converged"] is True
+
+    def test_report_carries_the_duality_gap(self, capsys, c321_csv):
+        code, doc = run_json(
+            capsys, "solve", "--objective", c321_csv, "--eps", "0.5", "--p", "4"
+        )
+        assert code == 0
+        res = doc["results"]
+        assert res["converged"] is True
+        assert 0.0 <= res["duality_gap"] <= doc["inputs"]["tol"] + 1e-15
+        assert "step" not in doc["inputs"]
+
+    def test_step_flag_is_gone(self, capsys, c321_csv):
+        code, out, err = run(
+            capsys, "solve", "--objective", c321_csv, "--eps", "0.5", "--p", "2", "--step", "0.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --step" in err
 
     def test_objective_with_many_rows_rejected(self, capsys, tmp_path):
         path = write(tmp_path / "obj2.csv", "3,2,1\n1,1,1\n")
@@ -393,6 +429,28 @@ class TestReportShape:
 
     def test_missing_command_exits_two(self, capsys):
         assert main([]) == 2
+
+    def test_parser_is_built_on_first_call_and_reused(self, tmp_path, half_half_csv):
+        # not at import, so start-up pays nothing for it; errors and --version
+        # leave the shared parser fit for the next call
+        out = tmp_path / "report.json"
+        code = (
+            "import fairctl.cli as cli\n"
+            "assert cli._shared_parser.cache_info().currsize == 0\n"
+            "assert cli.main(['--version']) == 0\n"
+            "assert cli.main(['check', '--nope']) == 2\n"
+            f"assert cli.main(['epsmax', '--p', '2', '--input', {half_half_csv!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert cli.main(['--version']) == 0\n"
+            "info = cli._shared_parser.cache_info()\n"
+            "assert (info.misses, info.currsize) == (1, 1), info\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fairctl.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"fairctl {__version__}\n" * 2
+        assert json.loads(out.read_text())["command"] == "epsmax"
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["check", "--nope"]) == 2

@@ -167,6 +167,38 @@ class TestProjectFairRegion:
         assert res.residual <= 1e-8
         assert oracles.fair_projection_kkt_residual(res.point.values, y, 0.5, 4.0) <= 1e-6
 
+    @pytest.mark.parametrize("n", [6, 100, 1000])
+    def test_finite_p_newton_is_optimal_in_few_evaluations(self, n):
+        y = -np.log1p(-(np.arange(n) + 0.5) / n)  # unit-exponential quantiles
+        res = project_fair_region(y, FairnessSpec(0.5, 4.0))
+        assert res.residual <= 1e-8
+        assert oracles.fair_projection_kkt_residual(res.point.values, y, 0.5, 4.0) <= 1e-9
+        # on the ball, as tightly as the nested search met it
+        radius = oracles.fair_radius(n, 0.5, 4.0)
+        assert abs(oracles.hp_norm(res.point.values, 4.0) / radius - 1.0) <= 1e-12
+        assert res.iterations <= 20
+
+    @pytest.mark.parametrize("p", [3.0, 10.0, 50.0])
+    def test_finite_p_newton_on_wide_and_signed_inputs(self, p):
+        # entries over nine decades, and signed ones: supports change during the iteration
+        rng = np.random.default_rng(int(p))
+        for n in (2, 5, 100):
+            for y in (10.0 ** rng.uniform(-6.0, 3.0, size=n), rng.uniform(-2.0, 2.0, size=n)):
+                eps = float(rng.uniform(0.05, 0.95))
+                res = project_fair_region(y, FairnessSpec(eps, p))
+                assert res.residual <= 1e-8
+                assert oracles.fair_projection_kkt_residual(res.point.values, y, eps, p) <= 1e-6
+                ball_gap = oracles.hp_norm(res.point.values, p) / oracles.fair_radius(n, eps, p) - 1.0
+                assert ball_gap <= 1e-12
+                if res.iterations > 1:  # the ball is active: the point lies on it
+                    assert ball_gap >= -1e-12
+
+    def test_iteration_cap_counts_evaluations(self):
+        y = -np.log1p(-(np.arange(50) + 0.5) / 50)
+        res = project_fair_region(y, FairnessSpec(0.5, 4.0), max_iter=3)
+        assert res.iterations == 3
+        assert res.residual > 1e-8
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             project_fair_region([0.5, 0.5], FairnessSpec(0.5, 2), n=3)

@@ -46,3 +46,36 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path):
     metrics = tracer.metrics(1, {})
     assert metrics["fairness.dispersion_report.calls"] == 1
     assert metrics["core.pnorm_rows.calls"] > 0
+
+
+def test_traced_optimize_commands(tmp_path):
+    # the tracer wraps solver.project_fair_region, eps_max, coefficient_of_variation
+    # and cv_bound by name and binds project_fair_region's max_iter argument
+    tracing = load_tracing()
+    objective = tmp_path / "c.csv"
+    objective.write_text("0.3,-1,0.8,0.1\n")
+    vectors = tmp_path / "y.csv"
+    vectors.write_text("1.5,0.2,0.9,0.1,0.7,0.4\n")
+    commands = {
+        "solve": ["solve", "--objective", str(objective), "--eps", "0.25", "--p", "4"],
+        "sweep": ["sweep", "--objective", str(objective), "--p", "2", "--eps-grid", "0:1:0.25"],
+        "project": ["project", "--input", str(vectors), "--eps", "0.5", "--p", "4"],
+    }
+    metrics = {}
+    for op, (name, argv) in enumerate(commands.items()):
+        tracer = tracing.Tracer()
+        tracer.install(fairctl)
+        try:
+            out = tmp_path / f"{name}.json"
+            assert tracer.call(op, name, argv + ["--out", str(out)]) == 0
+        finally:
+            tracer.uninstall()
+        assert json.loads(out.read_text())["command"] == name
+        metrics[name] = tracer.metrics(1, {})
+    assert metrics["solve"]["solver.solve.calls"] == 1
+    assert metrics["solve"]["solver.solve.iterations"] > 0
+    assert metrics["sweep"]["solver.pareto_sweep.ms"] > 0
+    project = metrics["project"]
+    assert project["geometry.project_fair_region.calls"] == 1
+    assert project["geometry.project_fair_region.iterations"] > 1
+    assert project["geometry.project_fair_region.at_cap"] == 0
