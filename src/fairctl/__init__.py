@@ -21,7 +21,6 @@ from .core import (
     normalize,
     p_norm,
     power_sum,
-    renyi_entropy,
     shannon_entropy,
 )
 from .fairness import (
@@ -29,14 +28,12 @@ from .fairness import (
     DispersionEntry,
     DispersionReport,
     FairnessSpec,
-    LinearFairnessSystem,
     coefficient_of_variation,
     cone_constraint,
     cv_bound,
     dispersion_report,
     eps_max,
     is_fair,
-    linear_system,
 )
 from .geometry import (
     ProjectionResult,
@@ -53,7 +50,6 @@ from .verifier import (
     VerificationReport,
     VerifyConfig,
     run_suite,
-    sample_simplex,
 )
 
 __all__ = [
@@ -67,18 +63,15 @@ __all__ = [
     "dispersion_constant",
     "power_sum",
     "shannon_entropy",
-    "renyi_entropy",
     "normalize",
     "FairnessSpec",
     "DispersionEntry",
     "DispersionReport",
-    "LinearFairnessSystem",
     "ConeConstraint",
     "eps_max",
     "is_fair",
     "coefficient_of_variation",
     "cv_bound",
-    "linear_system",
     "cone_constraint",
     "dispersion_report",
     "ProjectionResult",
@@ -97,5 +90,4 @@ __all__ = [
     "DEFAULT_N_VALUES",
     "DEFAULT_P_CHAIN",
     "run_suite",
-    "sample_simplex",
 ]

@@ -1,4 +1,4 @@
-"""Scalar building blocks: lp norms, dispersion constants, power sums, entropies.
+"""Scalar building blocks: lp norms, dispersion constants, power sums, Shannon entropy.
 
 Everything here is a pure function of immutable vector values, so all
 operations are safe to call concurrently. Large exponents are handled by
@@ -70,17 +70,6 @@ class NonNegVector:
     @property
     def n(self) -> int:
         return self._values.size
-
-    @classmethod
-    def unit(cls, n: int, i: int):
-        """The i-th standard basis vector of dimension n (0-based index)."""
-        arr = np.zeros(n)
-        arr[i] = 1.0
-        return cls(arr)
-
-    @classmethod
-    def ones(cls, n: int) -> "NonNegVector":
-        return cls(np.ones(n))
 
     def __len__(self) -> int:
         return self._values.size
@@ -204,20 +193,6 @@ def _shannon_rows(w: np.ndarray) -> np.ndarray:
 def shannon_entropy(w: WeightVector) -> float:
     """-sum w_i ln w_i with the 0 ln 0 = 0 convention; lies in [0, ln n]."""
     return float(_shannon_rows(w.values))
-
-
-def renyi_entropy(w: WeightVector, alpha: float) -> float:
-    """Order-alpha entropy (1/(1-alpha)) ln sum w_i^alpha for alpha > 0, alpha != 1.
-
-    Raises ValueError at alpha = 1; use :func:`shannon_entropy` for that limit.
-    """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"order must be a positive real, got {alpha!r}")
-    if alpha == 1.0:
-        raise ValueError("order 1 is the Shannon limit; call shannon_entropy")
-    total = float((w.values**alpha).sum())
-    return math.log(total) / (1.0 - alpha)
 
 
 def normalize(x: NonNegVector) -> SimplexVector:

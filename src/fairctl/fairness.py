@@ -128,43 +128,6 @@ def cv_bound(n: int, spec: FairnessSpec) -> float:
 
 
 @dataclass(frozen=True)
-class LinearFairnessSystem:
-    """The p = infinity constraint as n linear rows: sum_j x_j >= coeff * x_i."""
-
-    n: int
-    epsilon: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.n}")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-
-    @property
-    def coefficient(self) -> float:
-        """Multiplier on x_i in every row: 1 + (n-1) * epsilon."""
-        return 1.0 + (self.n - 1) * self.epsilon
-
-    @property
-    def rows(self) -> np.ndarray:
-        """(n, n) matrix A with the system written as A @ x >= 0."""
-        a = np.ones((self.n, self.n))
-        np.fill_diagonal(a, 1.0 - self.coefficient)
-        return a
-
-    def satisfied_by(self, x, tol: float = 0.0) -> bool:
-        """Check all n inequalities; with tol 0 this matches is_fair at p = infinity."""
-        v = x.values if isinstance(x, NonNegVector) else np.asarray(x, dtype=float)
-        total = v.sum()
-        return bool(np.all(self.coefficient * v <= total * (1.0 + tol)))
-
-
-def linear_system(n: int, epsilon: float) -> LinearFairnessSystem:
-    """Explicit linear-inequality form of the p = infinity constraint."""
-    return LinearFairnessSystem(n=n, epsilon=float(epsilon))
-
-
-@dataclass(frozen=True)
 class ConeConstraint:
     """Descriptive record of the normalized constraint ||x||_p <= radius on the simplex.
 
@@ -181,7 +144,11 @@ class ConeConstraint:
 
 
 def cone_constraint(n: int, spec: FairnessSpec) -> ConeConstraint:
-    """Exportable cone description of the constraint for a given (eps, p)."""
+    """Exportable cone description of the constraint for a given (eps, p).
+
+    The one place the fair radius is computed: the projection and the
+    solver read it from here.
+    """
     d = dispersion_constant(n, spec.p)
     if spec.p == 2.0:
         kind = "second-order"

@@ -24,10 +24,10 @@ from .core import (
     NonNegVector,
     SimplexVector,
     check_exponent,
-    dispersion_constant,
+    _as_vector,
     _pnorm_rows,
 )
-from .fairness import FairnessSpec
+from .fairness import FairnessSpec, cone_constraint
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,7 @@ def _simplex_threshold(y: np.ndarray) -> float:
 
 def project_simplex(y) -> SimplexVector:
     """Euclidean projection of a real vector onto the probability simplex."""
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"expected a 1-D vector of dimension >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
+    arr = _as_vector(y)
     x = np.maximum(arr - _simplex_threshold(arr), 0.0)
     return SimplexVector(x / x.sum())
 
@@ -257,7 +253,6 @@ def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float,
 def project_fair_region(
     y,
     spec: FairnessSpec,
-    n: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 5000,
 ) -> ProjectionResult:
@@ -275,13 +270,7 @@ def project_fair_region(
     ball gaps and the point's violation of sum = 1, x >= 0 and the ball,
     certifies optimality, and a residual above tol is the failure signal.
     """
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError(f"expected a 1-D vector of dimension >= 2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    if n is not None and n != arr.size:
-        raise ValueError(f"dimension mismatch: n={n} but vector has {arr.size} entries")
+    arr = _as_vector(y)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     n = arr.size
@@ -291,8 +280,7 @@ def project_fair_region(
         return ProjectionResult(point=SimplexVector.uniform(n), iterations=0, residual=0.0)
 
     p = spec.p
-    scale = 1.0 + spec.epsilon * dispersion_constant(n, p)
-    radius = 1.0 / scale
+    radius = cone_constraint(n, spec).radius
     tau = _simplex_threshold(arr)
     ball_gap = 0.0
     if p == 2.0 or p == INFINITY:
@@ -315,6 +303,6 @@ def project_fair_region(
         abs(ball_gap),
         abs(float(point.sum()) - 1.0),
         -float(point.min()),
-        scale * float(_pnorm_rows(point, p)) - 1.0,
+        float(_pnorm_rows(point, p)) / radius - 1.0,
     )
     return ProjectionResult(point=SimplexVector(point), iterations=1 + evals, residual=residual)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, SimplexVector, dispersion_constant, _pnorm_rows
-from .fairness import FairnessSpec, coefficient_of_variation, cv_bound, eps_max
+from .core import INFINITY, SimplexVector, _as_vector, _pnorm_rows
+from .fairness import FairnessSpec, coefficient_of_variation, cone_constraint, cv_bound, eps_max
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
@@ -39,25 +39,9 @@ class ObjectiveSpec:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coefficients, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"coefficients must be a 1-D vector of dimension >= 2, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("coefficients must be finite")
+        arr = _as_vector(self.coefficients)
         arr.flags.writeable = False
         object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coefficients.size
-
-    def value(self, x) -> float:
-        v = x.values if isinstance(x, SimplexVector) else np.asarray(x, dtype=float)
-        return float(self.coefficients @ v)
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return self.coefficients
 
 
 @dataclass(frozen=True)
@@ -146,7 +130,7 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
     n = c.size
     if spec.epsilon == 1.0:
         return np.full(n, 1.0 / n), 0.0, 0
-    radius = 1.0 / (1.0 + spec.epsilon * dispersion_constant(n, spec.p))
+    radius = cone_constraint(n, spec).radius
     if spec.p == INFINITY:
         x, dual, evals = *_water_fill(c, radius), 0
     else:
@@ -157,7 +141,6 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
 def solve(
     obj: ObjectiveSpec,
     spec: FairnessSpec,
-    n: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 20000,
 ) -> SolveResult:
@@ -166,8 +149,6 @@ def solve(
     iterations counts evaluations of x(mu), at most max_iter (0 where a
     closed form applies); converged means the duality gap is at most tol.
     """
-    if n is not None and n != obj.n:
-        raise ValueError(f"dimension mismatch: n={n} but objective has {obj.n} coefficients")
     c = obj.coefficients
     x, gap, iterations = _maximize(c, spec, tol, max_iter)
     point = SimplexVector(x)
@@ -185,7 +166,6 @@ def solve(
 def pareto_sweep(
     obj: ObjectiveSpec,
     p: float,
-    n: int | None = None,
     eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
     tol: float = 1e-8,
     max_iter: int = 20000,
@@ -202,8 +182,6 @@ def pareto_sweep(
         raise ValueError("epsilon grid values must lie in [0, 1]")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    if n is not None and n != obj.n:
-        raise ValueError(f"dimension mismatch: n={n} but objective has {obj.n} coefficients")
     c = obj.coefficients
     points = []
     for eps in grid:

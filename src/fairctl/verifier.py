@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SimplexVector,
     check_exponent,
     dispersion_constant,
     _pnorm_rows,
@@ -180,13 +179,6 @@ def _sample_rows(
     return rows
 
 
-def sample_simplex(
-    n: int, rng: np.random.Generator, exclude_special: bool = False
-) -> SimplexVector:
-    """One uniform simplex sample; deterministic given the generator state."""
-    return SimplexVector(_sample_rows(n, 1, rng, exclude_special)[0])
-
-
 class _Recorder:
     """Accumulates margins, failures, and capped counterexamples for one suite."""
 
@@ -248,245 +240,212 @@ def _add_uniform_gap(rec: _Recorder, cfg: VerifyConfig, n: int, p: float) -> Non
     rec.add([cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0))
 
 
-def _suite_cv_bound(cfg: VerifyConfig) -> SuiteResult:
+# Each check below states one suite's inequality for one dimension n: it
+# draws from the (suite, n) generator it is given and adds margins to the
+# suite's recorder. _run_one runs a check over every configured dimension.
+
+
+def _check_cv_bound(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    rec = _Recorder("cv-bound")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "cv-bound", n)
-        X = _sample_rows(n, cfg.samples, rng)
-        cv2 = _cv2_rows(X)
-        for p in cfg.p_values:
-            bound = _cv_bound_rows(n, p, _eps_rows(X, p))
-            rec.add(bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p))
-    return rec.result()
+    X = _sample_rows(n, cfg.samples, rng)
+    cv2 = _cv2_rows(X)
+    for p in cfg.p_values:
+        bound = _cv_bound_rows(n, p, _eps_rows(X, p))
+        rec.add(bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p))
 
 
-def _suite_inclusion(cfg: VerifyConfig) -> SuiteResult:
+def _check_inclusion(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """Membership at the larger exponent implies membership at the smaller one."""
-    rec = _Recorder("inclusion")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "inclusion", n)
-        X = _sample_rows(n, cfg.samples, rng)
-        eps = rng.random(cfg.samples)
-        norms = {p: _pnorm_rows(X, p) for p in cfg.p_values}
-        for p1, p2 in zip(cfg.p_values, cfg.p_values[1:]):
-            d1 = dispersion_constant(n, p1)
-            d2 = dispersion_constant(n, p2)
-            inner = (1.0 + eps * d2) * norms[p2] <= 1.0
-            idx = np.nonzero(inner)[0]
-            margins = (1.0 - (1.0 + eps * d1) * norms[p1])[inner]
+    X = _sample_rows(n, cfg.samples, rng)
+    eps = rng.random(cfg.samples)
+    norms = {p: _pnorm_rows(X, p) for p in cfg.p_values}
+    for p1, p2 in zip(cfg.p_values, cfg.p_values[1:]):
+        d1 = dispersion_constant(n, p1)
+        d2 = dispersion_constant(n, p2)
+        inner = (1.0 + eps * d2) * norms[p2] <= 1.0
+        idx = np.nonzero(inner)[0]
+        margins = (1.0 - (1.0 + eps * d1) * norms[p1])[inner]
 
-            def example(i: int, idx=idx, X=X, eps=eps, n=n, p1=p1, p2=p2) -> dict:
-                j = int(idx[i])
-                return {
-                    "n": n,
-                    "p_pair": [_p_token(p1), _p_token(p2)],
-                    "epsilon": float(eps[j]),
-                    "vector": X[j].tolist(),
-                }
+        def example(i: int) -> dict:
+            j = int(idx[i])
+            return {
+                "n": n,
+                "p_pair": [_p_token(p1), _p_token(p2)],
+                "epsilon": float(eps[j]),
+                "vector": X[j].tolist(),
+            }
 
-            rec.add(margins, -NONSTRICT_SLACK, False, example)
-    return rec.result()
+        rec.add(margins, -NONSTRICT_SLACK, False, example)
 
 
-def _suite_equivalence(cfg: VerifyConfig) -> SuiteResult:
+def _check_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    rec = _Recorder("equivalence")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "equivalence", n)
-        X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        for p in cfg.p_values:
-            t = _pnorm_rows(X, p)
-            d = dispersion_constant(n, p)
-            rec.add(1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0))
-            rec.add(
-                (1.0 + d) * t - 1.0,
-                STRICT_MARGIN,
-                True,
-                _row_example(X, n, p, epsilon=1.0),
-            )
-            _add_uniform_gap(rec, cfg, n, p)
-    return rec.result()
+    X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
+    for p in cfg.p_values:
+        t = _pnorm_rows(X, p)
+        d = dispersion_constant(n, p)
+        rec.add(1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0))
+        rec.add(
+            (1.0 + d) * t - 1.0,
+            STRICT_MARGIN,
+            True,
+            _row_example(X, n, p, epsilon=1.0),
+        )
+        _add_uniform_gap(rec, cfg, n, p)
 
 
-def _suite_corner(cfg: VerifyConfig) -> SuiteResult:
+def _check_corner(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
-    rec = _Recorder("corner")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "corner", n)
-        eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
-        vertices = np.eye(n)
-        for p in cfg.p_values:
-            d = dispersion_constant(n, p)
-            tv = _pnorm_rows(vertices, p)
+    eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
+    vertices = np.eye(n)
+    for p in cfg.p_values:
+        d = dispersion_constant(n, p)
+        tv = _pnorm_rows(vertices, p)
 
-            def example(i: int, n=n, p=p, eps=eps) -> dict:
-                sample, vertex = divmod(i, n)
-                return {
-                    "n": n,
-                    "p": _p_token(p),
-                    "vertex": int(vertex),
-                    "epsilon": float(eps[sample]),
-                }
+        def example(i: int) -> dict:
+            sample, vertex = divmod(i, n)
+            return {
+                "n": n,
+                "p": _p_token(p),
+                "vertex": int(vertex),
+                "epsilon": float(eps[sample]),
+            }
 
-            margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
-            rec.add(margins, STRICT_MARGIN, True, example)
-            rec.add(1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0))
-            _add_uniform_gap(rec, cfg, n, p)
-    return rec.result()
+        margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
+        rec.add(margins, STRICT_MARGIN, True, example)
+        rec.add(1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0))
+        _add_uniform_gap(rec, cfg, n, p)
 
 
-def _suite_entropy_identity(cfg: VerifyConfig) -> SuiteResult:
+def _check_entropy_identity(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    rec = _Recorder("entropy-identity")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "entropy-identity", n)
-        blocks = [_sample_rows(n, cfg.samples, rng)]
-        if n >= 3:
-            # zero-component rows: lower-dimensional samples padded with a zero
-            padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
-            blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
-        blocks.append(np.eye(n))
-        for p in _finite_ps(cfg):
-            for X in blocks:
-                total, derivative, weights = _power_sum_rows(X, p)
-                entropy = _shannon_rows(weights)
-                gap = np.abs(np.log(total) - p * derivative / total - entropy)
-                rec.add(cfg.tol - gap, 0.0, False, _row_example(X, n, p))
-    return rec.result()
+    blocks = [_sample_rows(n, cfg.samples, rng)]
+    if n >= 3:
+        # zero-component rows: lower-dimensional samples padded with a zero
+        padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
+        blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
+    blocks.append(np.eye(n))
+    for p in _finite_ps(cfg):
+        for X in blocks:
+            total, derivative, weights = _power_sum_rows(X, p)
+            entropy = _shannon_rows(weights)
+            gap = np.abs(np.log(total) - p * derivative / total - entropy)
+            rec.add(cfg.tol - gap, 0.0, False, _row_example(X, n, p))
 
 
-def _suite_entropy_sandwich(cfg: VerifyConfig) -> SuiteResult:
+def _check_entropy_sandwich(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    rec = _Recorder("entropy-sandwich")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "entropy-sandwich", n)
-        X = _sample_rows(n, cfg.samples, rng)
-        for p in _finite_ps(cfg):
-            t = _pnorm_rows(X, p)
-            entropy = _shannon_rows(_power_sum_rows(X, p)[2])
-            rec.add(entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
-            upper = -(p / (p - 1.0)) * np.log(t)
-            rec.add(upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
-    return rec.result()
+    X = _sample_rows(n, cfg.samples, rng)
+    for p in _finite_ps(cfg):
+        t = _pnorm_rows(X, p)
+        entropy = _shannon_rows(_power_sum_rows(X, p)[2])
+        rec.add(entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
+        upper = -(p / (p - 1.0)) * np.log(t)
+        rec.add(upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
 
 
-def _suite_lemma_a1(cfg: VerifyConfig) -> SuiteResult:
-    """Strict negativity of the log-bound expression, equality at e/n."""
-    rec = _Recorder("lemma-a1")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "lemma-a1", n)
-        X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        uniform = np.full((1, n), 1.0 / n)
-        for p in _finite_ps(cfg):
-            d = dispersion_constant(n, p)
-            t = _pnorm_rows(X, p)
-            expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
-            rec.add(-expr, STRICT_MARGIN, True, _row_example(X, n, p))
-            tu = float(_pnorm_rows(uniform, p)[0])
-            boundary = (p / (p - 1.0)) * (-math.log(tu)) / (1.0 - tu) - math.log(n) * (
-                1.0 + 1.0 / d
-            )
-            rec.add([cfg.tol - abs(boundary)], 0.0, False, _row_example(uniform, n, p))
-    return rec.result()
+def _check_lemma_a1(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+    """Strict negativity of the log-bound expression, equality at e/n (the last row)."""
+    samples = _sample_rows(n, cfg.samples, rng, exclude_special=True)
+    X = np.vstack([samples, np.full((1, n), 1.0 / n)])
+    for p in _finite_ps(cfg):
+        d = dispersion_constant(n, p)
+        t = _pnorm_rows(X, p)
+        expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
+        rec.add(-expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p))
+        rec.add(cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p))
 
 
-def _suite_f_decreasing(cfg: VerifyConfig) -> SuiteResult:
+def _check_f_decreasing(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    rec = _Recorder("f-decreasing")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "f-decreasing", n)
-        X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-        thresholds = np.column_stack([_eps_rows(X, p) for p in cfg.p_values])
-        for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
-            margins = thresholds[:, j] - thresholds[:, j + 1]
-            rec.add(
-                margins,
-                STRICT_MARGIN,
-                True,
-                _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)]),
-            )
-    return rec.result()
+    X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
+    thresholds = np.column_stack([_eps_rows(X, p) for p in cfg.p_values])
+    for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
+        margins = thresholds[:, j] - thresholds[:, j + 1]
+        rec.add(
+            margins,
+            STRICT_MARGIN,
+            True,
+            _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)]),
+        )
 
 
-def _suite_norm_equivalence(cfg: VerifyConfig) -> SuiteResult:
+def _check_norm_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    rec = _Recorder("norm-equivalence")
     orders = [1.0] + list(cfg.p_values)
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "norm-equivalence", n)
-        X = _sample_rows(n, cfg.samples, rng)
-        norms = {p: _pnorm_rows(X, p) for p in orders}
-        for i, p1 in enumerate(orders):
-            for p2 in orders[i + 1 :]:
-                pair = [_p_token(p1), _p_token(p2)]
-                rec.add(
-                    norms[p1] - norms[p2],
-                    -NONSTRICT_SLACK,
-                    False,
-                    _row_example(X, n, p1, p_pair=pair),
-                )
-                ratio = (dispersion_constant(n, p2) + 1.0) / (
-                    dispersion_constant(n, p1) + 1.0
-                )
-                rec.add(
-                    ratio * norms[p2] - norms[p1],
-                    -NONSTRICT_SLACK,
-                    False,
-                    _row_example(X, n, p1, p_pair=pair),
-                )
-    return rec.result()
+    X = _sample_rows(n, cfg.samples, rng)
+    norms = {p: _pnorm_rows(X, p) for p in orders}
+    for i, p1 in enumerate(orders):
+        for p2 in orders[i + 1 :]:
+            pair = [_p_token(p1), _p_token(p2)]
+            rec.add(
+                norms[p1] - norms[p2],
+                -NONSTRICT_SLACK,
+                False,
+                _row_example(X, n, p1, p_pair=pair),
+            )
+            ratio = (dispersion_constant(n, p2) + 1.0) / (
+                dispersion_constant(n, p1) + 1.0
+            )
+            rec.add(
+                ratio * norms[p2] - norms[p1],
+                -NONSTRICT_SLACK,
+                False,
+                _row_example(X, n, p1, p_pair=pair),
+            )
 
 
-def _suite_eps_nesting(cfg: VerifyConfig) -> SuiteResult:
+def _check_eps_nesting(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
     """Membership at a larger eps implies membership at any smaller eps."""
-    rec = _Recorder("eps-nesting")
-    for n in cfg.n_values:
-        rng = _generator(cfg.seed, "eps-nesting", n)
-        X = _sample_rows(n, cfg.samples, rng)
-        draws = rng.random((2, cfg.samples))
-        hi = draws.max(axis=0)
-        lo = draws.min(axis=0)
-        distinct = hi > lo
-        for p in cfg.p_values:
-            d = dispersion_constant(n, p)
-            t = _pnorm_rows(X, p)
-            applicable = distinct & ((1.0 + hi * d) * t <= 1.0)
-            idx = np.nonzero(applicable)[0]
-            margins = (1.0 - (1.0 + lo * d) * t)[applicable]
+    X = _sample_rows(n, cfg.samples, rng)
+    draws = rng.random((2, cfg.samples))
+    hi = draws.max(axis=0)
+    lo = draws.min(axis=0)
+    distinct = hi > lo
+    for p in cfg.p_values:
+        d = dispersion_constant(n, p)
+        t = _pnorm_rows(X, p)
+        applicable = distinct & ((1.0 + hi * d) * t <= 1.0)
+        idx = np.nonzero(applicable)[0]
+        margins = (1.0 - (1.0 + lo * d) * t)[applicable]
 
-            def example(i: int, idx=idx, X=X, hi=hi, lo=lo, n=n, p=p) -> dict:
-                j = int(idx[i])
-                return {
-                    "n": n,
-                    "p": _p_token(p),
-                    "eps_pair": [float(hi[j]), float(lo[j])],
-                    "vector": X[j].tolist(),
-                }
+        def example(i: int) -> dict:
+            j = int(idx[i])
+            return {
+                "n": n,
+                "p": _p_token(p),
+                "eps_pair": [float(hi[j]), float(lo[j])],
+                "vector": X[j].tolist(),
+            }
 
-            rec.add(margins, -NONSTRICT_SLACK, False, example)
-    return rec.result()
+        rec.add(margins, -NONSTRICT_SLACK, False, example)
 
 
-_SUITE_FUNCTIONS = {
-    "cv-bound": _suite_cv_bound,
-    "inclusion": _suite_inclusion,
-    "equivalence": _suite_equivalence,
-    "corner": _suite_corner,
-    "entropy-identity": _suite_entropy_identity,
-    "entropy-sandwich": _suite_entropy_sandwich,
-    "lemma-a1": _suite_lemma_a1,
-    "f-decreasing": _suite_f_decreasing,
-    "norm-equivalence": _suite_norm_equivalence,
-    "eps-nesting": _suite_eps_nesting,
+_CHECKS = {
+    "cv-bound": _check_cv_bound,
+    "inclusion": _check_inclusion,
+    "equivalence": _check_equivalence,
+    "corner": _check_corner,
+    "entropy-identity": _check_entropy_identity,
+    "entropy-sandwich": _check_entropy_sandwich,
+    "lemma-a1": _check_lemma_a1,
+    "f-decreasing": _check_f_decreasing,
+    "norm-equivalence": _check_norm_equivalence,
+    "eps-nesting": _check_eps_nesting,
 }
+
+
+def _run_one(name: str, cfg: VerifyConfig) -> SuiteResult:
+    """One suite's check on every dimension, each with its own (suite, n) substream."""
+    rec = _Recorder(name)
+    for n in cfg.n_values:
+        _CHECKS[name](rec, cfg, n, _generator(cfg.seed, name, n))
+    return rec.result()
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
     """Run the requested suites (in canonical order) and collect the report."""
-    results = tuple(
-        _SUITE_FUNCTIONS[name](cfg) for name in SUITE_NAMES if name in cfg.suites
-    )
+    results = tuple(_run_one(name, cfg) for name in SUITE_NAMES if name in cfg.suites)
     return VerificationReport(
         seed=cfg.seed,
         samples=cfg.samples,

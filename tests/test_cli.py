@@ -351,6 +351,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
         assert "bogus" in err
+        code, out, err = run(capsys, "verify", "--suite", ",")
+        assert code == 2
+        assert out == ""
+        assert "suite" in err
 
     def test_output_identical_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

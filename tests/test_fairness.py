@@ -16,8 +16,8 @@ from fairctl import (
     dispersion_report,
     eps_max,
     is_fair,
-    linear_system,
 )
+from fairctl.fairness import _member_rows
 
 import oracles
 
@@ -53,7 +53,7 @@ class TestEpsMax:
     def test_vertex_is_zero(self):
         for n in (2, 4, 7):
             for p in (2, 3.5, 17, INFINITY):
-                assert eps_max(SimplexVector.unit(n, 0), p) == 0.0
+                assert eps_max(SimplexVector(np.eye(n)[0]), p) == 0.0
 
     def test_uniform_is_one(self):
         for n in (2, 4, 7):
@@ -116,7 +116,7 @@ class TestCoefficientOfVariation:
         assert coefficient_of_variation(SimplexVector.uniform(6)) == 0.0
 
     def test_vertex_matches_definition(self):
-        x = SimplexVector.unit(4, 0)
+        x = SimplexVector(np.eye(4)[0])
         assert coefficient_of_variation(x) == pytest.approx(math.sqrt(3), abs=1e-12)
         assert coefficient_of_variation(x) == pytest.approx(
             oracles.cv_definition(x.values), abs=1e-12
@@ -167,22 +167,15 @@ class TestCvBound:
 
 
 class TestLinearSystem:
-    def test_example_coefficient(self):
-        sys3 = linear_system(3, 0.5)
-        assert sys3.coefficient == 2.0
-        assert sys3.rows.shape == (3, 3)
-        np.testing.assert_array_equal(sys3.rows @ np.array([0.4, 0.3, 0.3]) >= 0, [True] * 3)
+    """At p = infinity the constraint is n linear rows: sum_j x_j >= (1 + (n-1) eps) x_i."""
 
     def test_eps_zero_vacuous(self):
-        sys5 = linear_system(5, 0.0)
-        assert sys5.coefficient == 1.0
-        assert sys5.satisfied_by(np.array([5.0, 0.0, 0.0, 0.0, 0.0]))
+        assert is_fair(NonNegVector([5.0, 0.0, 0.0, 0.0, 0.0]), FairnessSpec(0.0, INFINITY), tol=0.0)
 
     def test_eps_one_forces_uniform(self):
-        sys4 = linear_system(4, 1.0)
-        assert sys4.coefficient == 4.0
-        assert sys4.satisfied_by(SimplexVector.uniform(4))
-        assert not sys4.satisfied_by(np.array([0.3, 0.25, 0.25, 0.2]))
+        spec = FairnessSpec(1.0, INFINITY)
+        assert is_fair(SimplexVector.uniform(4), spec, tol=0.0)
+        assert not is_fair(SimplexVector([0.3, 0.25, 0.25, 0.2]), spec, tol=0.0)
 
     def test_agreement_with_is_fair_on_bulk_random_vectors(self):
         rng = np.random.default_rng(123)
@@ -192,7 +185,7 @@ class TestLinearSystem:
         coeff = 1.0 + (n - 1) * eps
         total = X.sum(axis=1)
         system_verdict = (coeff[:, None] * X <= total[:, None]).all(axis=1)
-        fair_verdict = (1.0 + eps * (n - 1.0)) * X.max(axis=1) <= total
+        fair_verdict = _member_rows(X, eps, INFINITY, 0.0)
         disagree = system_verdict != fair_verdict
         # any disagreement must sit within 1e-12 of the constraint boundary
         boundary_gap = np.abs(coeff * X.max(axis=1) - total)
@@ -203,9 +196,8 @@ class TestLinearSystem:
         for _ in range(300):
             x = NonNegVector(rng.uniform(0.0, 1.0, size=5) + 1e-9)
             eps = float(rng.uniform(0.0, 1.0))
-            assert linear_system(5, eps).satisfied_by(x) == is_fair(
-                x, FairnessSpec(eps, INFINITY), tol=0.0
-            )
+            rows_hold = bool(np.all((1.0 + 4 * eps) * x.values <= x.values.sum()))
+            assert rows_hold == is_fair(x, FairnessSpec(eps, INFINITY), tol=0.0)
 
 
 class TestConeConstraint:

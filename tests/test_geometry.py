@@ -199,10 +199,6 @@ class TestProjectFairRegion:
         assert res.iterations == 3
         assert res.residual > 1e-8
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            project_fair_region([0.5, 0.5], FairnessSpec(0.5, 2), n=3)
-
     def test_optimality_certificate(self):
         rng = np.random.default_rng(23)
         for eps, p in [(0.4, 2.0), (0.6, 4.0), (0.5, INFINITY)]:
