@@ -38,7 +38,6 @@ from .fairness import (
 from .geometry import (
     ProjectionResult,
     project_fair_region,
-    project_lp_ball,
     project_simplex,
 )
 from .solver import ObjectiveSpec, ParetoPoint, SolveResult, pareto_sweep, solve
@@ -76,7 +75,6 @@ __all__ = [
     "dispersion_report",
     "ProjectionResult",
     "project_simplex",
-    "project_lp_ball",
     "project_fair_region",
     "ObjectiveSpec",
     "SolveResult",

@@ -1,15 +1,13 @@
-"""Euclidean projections: simplex, nonnegative lp ball, and their intersection.
+"""Euclidean projections onto the simplex and onto the fair region.
 
 The fair region on the simplex is Delta_n intersected with the nonnegative
-lp ball of radius 1 / (1 + eps D_p). Its projection is exact. Dualizing
-sum(x) = 1 with a multiplier mu leaves x(mu), the lp-ball projection of
-y - mu e, whose sum never increases with mu. At p = 2 x(mu) is a radial
-scaling and at p = infinity a clip, so one monotone root on mu finds the
-optimum; at p = infinity that root is the capped-simplex projection (Wang &
-Lu 2015, arXiv:1503.01002). At finite p > 2 x(mu) needs the ball
-multiplier kappa as well, so one safeguarded Newton iteration solves for
-mu and kappa together. The lp-ball projection alone is a monotone root on
-kappa, and the monotone roots share one bracketed secant search.
+lp ball of radius r = 1 / (1 + eps D_p). When the simplex projection of y
+lies in the ball it is the answer; otherwise the projection lies on the
+ball and is exact. At p = 2 it is the point of the sphere ||x||_2 = r on
+the support of the k largest y, and at p = infinity the capped-simplex
+projection clip(y - mu, 0, r) (Wang & Lu 2015, arXiv:1503.01002); one sort
+finds either. At finite p > 2 one safeguarded Newton iteration solves for
+the multiplier mu of sum(x) = 1 and the ball multiplier kappa together.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .core import (
     INFINITY,
     NonNegVector,
     SimplexVector,
-    check_exponent,
     _as_vector,
     _pnorm_rows,
 )
@@ -39,8 +36,6 @@ class ProjectionResult:
     residual: float
 
 
-#: Cap on multiplier evaluations in one lp-ball projection.
-_MAX_OUTER = 200
 #: Cap on safeguarded Newton steps per coordinate root.
 _MAX_INNER = 100
 #: Relative gap to the ball within which the fair-region projection meets it;
@@ -48,62 +43,82 @@ _MAX_INNER = 100
 _BALL_TOL = 1e-13
 
 
-def _simplex_threshold(y: np.ndarray) -> float:
-    """The tau with sum(max(y - tau, 0)) = 1, by sort and threshold."""
-    u = np.sort(y)[::-1]
-    shifted = (np.cumsum(u) - 1.0) / np.arange(1, y.size + 1)
-    # u[0] - shifted[0] = 1, so the index set is never empty
-    return float(shifted[np.nonzero(u - shifted > 0)[0][-1]])
+def _simplex_point(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The simplex projection max(y - tau, 0) and its threshold tau, by sort and threshold.
+
+    The projection is unchanged by a shift of y, so it runs on y - max y:
+    the entries it keeps lie within 1 of max y and round by at most half an
+    ulp of 1, and entries past 2^53 no longer round the threshold away.
+    """
+    top = float(y.max())
+    shifted = y - top
+    u = np.sort(shifted)[::-1]
+    levels = (np.cumsum(u) - 1.0) / np.arange(1, y.size + 1)
+    # u[0] - levels[0] = 1, so the index set is never empty
+    level = float(levels[np.nonzero(u - levels > 0)[0][-1]])
+    return np.maximum(shifted - level, 0.0), top + level
 
 
 def project_simplex(y) -> SimplexVector:
     """Euclidean projection of a real vector onto the probability simplex."""
-    arr = _as_vector(y)
-    x = np.maximum(arr - _simplex_threshold(arr), 0.0)
+    x, _ = _simplex_point(_as_vector(y))
     return SimplexVector(x / x.sum())
 
 
-def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int, xtol: float = 0.0):
-    """Root of a nonincreasing f from a point a with f(a) = fa; step has the sign of fa.
+def _sphere_point(y: np.ndarray, radius: float) -> np.ndarray:
+    """p = 2, ball active: x = 1/k + s (y - mean) on the support of the k largest y.
 
-    Trials step on from a, doubling the step, until f changes sign; then
-    Illinois secant steps (bisection when one leaves the bracket) run until
-    |f| <= tol, the bracket shrinks to adjacent floats or to xtol, or
-    max_evals evaluations are spent. Returns f at the last point evaluated
-    (fa if none) and the evaluation count; callers read the root from state
-    that f keeps, which belongs to that last point.
+    On the support x = s (y - mu) with s = 1 / (1 + ball multiplier), so
+    sum(x) = 1 fixes mu and ||x||^2 = 1/k + s^2 S_k, with S_k the squared
+    deviations of those k entries from their mean, fixes s. Cumsums give
+    every k at once; the k whose point is most clearly positive on its
+    support and nonpositive past it is kept, and s is recomputed from that
+    support alone. The point is unchanged by y -> a y + b (a > 0), so y is
+    mapped onto [-1, 0] first, which keeps the squares finite.
     """
-    if abs(fa) <= tol or max_evals < 1:
-        return fa, 0
-    b = a + step
-    fb = f(b)
-    evals = 1
-    while abs(fb) > tol and (fb > 0.0) == (fa > 0.0) and evals < max_evals:
-        step *= 2.0
-        a, fa, b = b, fb, b + step
-        fb = f(b)
-        evals += 1
-    fc = fb
-    side = 0
-    while abs(fc) > tol and evals < max_evals and abs(b - a) > xtol:
-        c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)
-            if not min(a, b) < c < max(a, b):
-                break
-        fc = f(c)
-        evals += 1
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-            if side == 1:
-                fa *= 0.5  # Illinois damping keeps the secant moving
-            side = 1
-        else:
-            a, fa = c, fc
-            if side == -1:
-                fb *= 0.5
-            side = -1
-    return fc, evals
+    top = float(y.max())
+    v = (y - top) / (top - float(y.min()))  # y is not constant: e/n never comes here
+    u = np.sort(v)[::-1]
+    k = np.arange(1, y.size + 1)
+    square = max(radius * radius, 1.0 / y.size)  # r^2 >= 1/n, but can round below it near eps = 1
+    mean = np.cumsum(u) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # nan where no point on that support reaches the sphere (r^2 < 1/k, or S_k = 0)
+        s = np.sqrt((square - 1.0 / k) / (np.cumsum(u * u) - k * mean * mean))
+        inside = 1.0 / k + s * (u - mean)  # x at the smallest entry of the support
+        past = np.append(-1.0 / k[:-1] - s[:-1] * (u[1:] - mean[:-1]), math.inf)  # -x at the next
+    size = int(np.nanargmax(np.minimum(inside, past))) + 1  # k = n is never nan: S_n > 0
+    support = u[:size]
+    centre = float(support.mean())
+    scale = math.sqrt((square - 1.0 / size) / float(((support - centre) ** 2).sum()))
+    return np.maximum(1.0 / size + scale * (v - centre), 0.0)
+
+
+def _capped_point(y: np.ndarray, radius: float) -> np.ndarray:
+    """p = infinity, ball active: clip(y - mu, 0, r) with sum 1, by sorted breakpoints.
+
+    The sum f(mu) falls piecewise linearly, with breakpoints at the y_i and
+    y_i - r. Cumsums give f at every breakpoint, and mu follows from the
+    free entries (y_i - r < mu < y_i) of the piece where f crosses 1. All of
+    it runs on v, the sorted y with each gap wider than 2r cut to 2r: no
+    free set spans such a gap, so the point is the same, and v lies in
+    [0, 2 r n], so its sums keep every entry however large or wide y is.
+    """
+    order = np.argsort(y, kind="stable")
+    v = np.concatenate(([0.0], np.cumsum(np.minimum(np.diff(y[order]), 2.0 * radius))))
+    both = np.concatenate((v - radius, v))
+    rank = np.argsort(both, kind="stable")
+    t = both[rank]
+    low = np.cumsum(rank >= v.size)  # entries with v <= t: x = 0 once mu > t
+    free_end = np.arange(1, t.size + 1) - low  # entries with v - r <= t: x < r once mu > t
+    sums = np.concatenate(([0.0], np.cumsum(v)))
+    f = (v.size - free_end) * radius + (sums[free_end] - sums[low]) - (free_end - low) * t
+    j = max(int(np.count_nonzero(f >= 1.0)), 1) - 1  # f falls from n r >= 1 to 0: mu is in [t[j], t[j+1]]
+    lo, hi = low[j], free_end[j]  # the free entries there
+    mu = t[j] if lo == hi else ((v.size - hi) * radius + float(v[lo:hi].sum()) - 1.0) / (hi - lo)
+    x = np.empty_like(y)
+    x[order] = np.clip(v - mu, 0.0, radius)
+    return x
 
 
 def _coordinate_roots(w: np.ndarray, p: float, kappa: float) -> np.ndarray:
@@ -131,57 +146,6 @@ def _coordinate_roots(w: np.ndarray, p: float, kappa: float) -> np.ndarray:
             if done:
                 break
     return z
-
-
-def _project_lp_ball_arr(
-    y: np.ndarray, p: float, radius: float, tol: float
-) -> tuple[np.ndarray, int, float]:
-    """Projection of a real vector onto {z >= 0 : ||z||_p <= radius}.
-
-    Negative inputs clip to zero first (their optimal coordinate is 0).
-    At finite p > 2, stationarity z + lam p z^(p-1) = w becomes
-    z + (kappa z)^(p-1) = w with kappa = (lam p)^(1/(p-1)), which is on the
-    scale of 1 / radius for every p (the root as p -> infinity), so the
-    search on kappa, where the norm falls, starts there.
-    """
-    base = np.maximum(y, 0.0)
-    if p == INFINITY:
-        return np.minimum(base, radius), 0, 0.0
-    norm = float(_pnorm_rows(base, p)) if base.any() else 0.0
-    if norm <= radius:
-        return base, 0, 0.0
-    if p == 2.0:
-        z = base * (radius / norm)
-        return z, 0, max(0.0, float(np.linalg.norm(z)) - radius)
-
-    pos = base > 0
-    w = z = base[pos]  # z(0) = w: no shrinkage
-
-    def gap(kappa: float) -> float:
-        nonlocal z
-        z = _coordinate_roots(w, p, kappa)
-        return float(_pnorm_rows(z, p)) - radius
-
-    last_gap, iterations = _decreasing_root(gap, 0.0, norm - radius, 1.0 / radius, tol, _MAX_OUTER)
-    out = np.zeros_like(base)
-    out[pos] = z
-    return out, iterations, max(0.0, last_gap)
-
-
-def project_lp_ball(y: NonNegVector, p: float, radius: float, tol: float = 1e-10) -> ProjectionResult:
-    """Euclidean projection onto the nonnegative lp ball of the given radius.
-
-    p = 2 is radial scaling and p = infinity a coordinate clip; finite p > 2
-    searches the ball multiplier until |norm - radius| <= tol.
-    Non-convergence within the iteration caps shows as a residual above
-    tol, never an exception.
-    """
-    p = check_exponent(p)
-    radius = float(radius)
-    if not (radius > 0):
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    z, iterations, residual = _project_lp_ball_arr(y.values, p, radius, tol)
-    return ProjectionResult(point=NonNegVector(z), iterations=iterations, residual=residual)
 
 
 def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float, max_evals: int):
@@ -260,14 +224,13 @@ def project_fair_region(
 
     When the simplex projection of y, the point at the simplex threshold
     tau, lies in the ball, it is the answer. Otherwise, at p = 2 and
-    p = infinity, x(mu), the nonnegative lp-ball projection of y - mu e,
-    meets every optimality condition but sum = 1, and its sum never
-    increases with mu, so a monotone search down from tau finds
-    |sum x(mu) - 1| <= tol / 100; at finite p > 2 one Newton iteration on
-    mu and the ball multiplier kappa (``_fair_newton``) meets both the sum
-    and the ball. iterations counts evaluations of x, at most max_iter. The
-    point is x / sum x; its residual, the larger of the remaining sum and
-    ball gaps and the point's violation of sum = 1, x >= 0 and the ball,
+    p = infinity, the exact sort-based forms give the point on the ball;
+    at finite p > 2 one Newton iteration on the multiplier mu of
+    sum(x) = 1 and the ball multiplier kappa (``_fair_newton``) meets both
+    the sum and the ball. iterations counts evaluations of x, at most
+    max_iter, and is 1 at eps = 1, at p = 2 and at p = infinity. The point
+    is x / sum x; its residual, the larger of the remaining sum and ball
+    gaps and the point's violation of sum = 1, x >= 0 and the ball,
     certifies optimality, and a residual above tol is the failure signal.
     """
     arr = _as_vector(y)
@@ -277,25 +240,19 @@ def project_fair_region(
 
     if spec.epsilon == 1.0:
         # the feasible set is the single point e/n
-        return ProjectionResult(point=SimplexVector.uniform(n), iterations=0, residual=0.0)
+        return ProjectionResult(point=SimplexVector.uniform(n), iterations=1, residual=0.0)
 
     p = spec.p
     radius = cone_constraint(n, spec).radius
-    tau = _simplex_threshold(arr)
-    ball_gap = 0.0
-    if p == 2.0 or p == INFINITY:
-        x = arr  # set by every call of sum_gap
-
-        def sum_gap(mu: float) -> float:
-            nonlocal x
-            x, _, _ = _project_lp_ball_arr(arr - mu, p, radius, _BALL_TOL * radius)
-            return float(x.sum()) - 1.0
-
-        gap0 = sum_gap(tau)
-        gap, evals = _decreasing_root(sum_gap, tau, gap0, gap0, 1e-2 * tol, max_iter - 1)
-    else:
-        x, gap, evals = np.maximum(arr - tau, 0.0), 0.0, 0
-        if max_iter > 1 and float(_pnorm_rows(x, p)) > radius:
+    x, tau = _simplex_point(arr)
+    gap = ball_gap = 0.0
+    evals = 0
+    if float(_pnorm_rows(x, p)) > radius and x.min() < x.max():  # e/n is fair even where r rounds below it
+        if p == 2.0:
+            x = _sphere_point(arr, radius)
+        elif p == INFINITY:
+            x = _capped_point(arr, radius)
+        elif max_iter > 1:
             x, gap, ball_gap, evals = _fair_newton(arr, p, radius, tau, tol, max_iter - 1)
     point = x / x.sum()
     residual = max(

@@ -29,7 +29,7 @@ from .fairness import FairnessSpec, coefficient_of_variation, cone_constraint, c
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
-from .geometry import _decreasing_root, project_fair_region
+from .geometry import project_fair_region
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,49 @@ def _water_fill(c: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
     x = np.where(c > mu, radius, 0.0)
     x[c == mu] = (1.0 - (filled[j - 1] if j else 0.0)) / counts[j]
     return x, mu + radius * float(np.maximum(c - mu, 0.0).sum())
+
+
+def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int, xtol: float = 0.0):
+    """Root of a nonincreasing f from a point a with f(a) = fa; step has the sign of fa.
+
+    Trials step on from a, doubling the step, until f changes sign; then
+    Illinois secant steps (bisection when one leaves the bracket) run until
+    |f| <= tol, the bracket shrinks to adjacent floats or to xtol, or
+    max_evals evaluations are spent. Returns f at the last point evaluated
+    (fa if none) and the evaluation count; callers read the root from state
+    that f keeps, which belongs to that last point.
+    """
+    if abs(fa) <= tol or max_evals < 1:
+        return fa, 0
+    b = a + step
+    fb = f(b)
+    evals = 1
+    while abs(fb) > tol and (fb > 0.0) == (fa > 0.0) and evals < max_evals:
+        step *= 2.0
+        a, fa, b = b, fb, b + step
+        fb = f(b)
+        evals += 1
+    fc = fb
+    side = 0
+    while abs(fc) > tol and evals < max_evals and abs(b - a) > xtol:
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+            if not min(a, b) < c < max(a, b):
+                break
+        fc = f(c)
+        evals += 1
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5  # Illinois damping keeps the secant moving
+            side = 1
+        else:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+    return fc, evals
 
 
 def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -169,6 +170,13 @@ class TestProject:
         assert point["point"] == pytest.approx([0.5, 0.25, 0.25], abs=1e-8)
         assert point["residual"] <= 1e-8
         assert point["converged"] is True
+
+    @pytest.mark.parametrize("p", ["2", "4", "inf"])
+    def test_entries_past_2_53_project(self, capsys, tmp_path, p):
+        path = write(tmp_path / "y.csv", "1e17,0,0\n")
+        code, doc = run_json(capsys, "project", "--eps", "0.5", "--p", p, "--input", path)
+        assert code == 0
+        assert doc["results"]["points"][0]["converged"] is True
 
     def test_negative_query_vectors_rejected(self, capsys, tmp_path):
         # the vector file format is nonnegative; only the library API takes
@@ -365,6 +373,23 @@ class TestVerify:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("42", "e97a60e408177c8e69dd8778f1ce665d7a319f1c1b34ce5ddbd655c3563d22ea"),
+            ("7", "92cebea0b617268f0e7fefbadbe93aba9b70186995baedd2afe32176adbb2093"),
+        ],
+    )
+    def test_full_report_bytes_are_pinned(self, capsys, tmp_path, seed, digest):
+        # a change to the row kernels, the suites or the JSON writer must keep these bytes
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "all", "--samples", "10000", "--seed", seed,
+            "--out", str(out),
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FAIRCTL_SEED", "123")

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from fairctl import (
     INFINITY,
     FairnessSpec,
-    NonNegVector,
+    ObjectiveSpec,
     SimplexVector,
     is_fair,
     p_norm,
     project_fair_region,
-    project_lp_ball,
     project_simplex,
+    solve,
 )
 
 import oracles
@@ -55,7 +55,8 @@ class TestProjectSimplex:
         assert abs(dist - oracle) <= 2e-4
 
     def test_dominant_coordinate_clamps_to_vertex(self):
-        np.testing.assert_array_equal(project_simplex([10.0, 0.0, 0.0]).values, [1, 0, 0])
+        for top in (10.0, 1e17):  # past 2^53, y[0] - 1 rounds to y[0]
+            np.testing.assert_array_equal(project_simplex([top, 0.0, 0.0]).values, [1, 0, 0])
 
     def test_all_negative_input(self):
         y = project_simplex([-1.0, -2.0, -3.0])
@@ -80,56 +81,33 @@ class TestProjectSimplex:
         assert np.linalg.norm(z - y) <= best + 1e-7
 
 
-class TestProjectLpBall:
-    def test_interior_point_unchanged(self):
-        x = NonNegVector([0.3, 0.2, 0.1])
-        res = project_lp_ball(x, 3, radius=1.0)
-        np.testing.assert_array_equal(res.point.values, x.values)
-        assert res.residual == 0.0
-
-    def test_infinity_is_clip(self):
-        res = project_lp_ball(NonNegVector([0.9, 0.05, 0.05]), INFINITY, radius=0.5)
-        np.testing.assert_allclose(res.point.values, [0.5, 0.05, 0.05], atol=1e-15)
-
-    def test_p2_is_radial_scaling(self):
-        res = project_lp_ball(NonNegVector([3.0, 4.0]), 2, radius=1.0)
-        np.testing.assert_allclose(res.point.values, [0.6, 0.8], atol=1e-12)
-
-    def test_symmetric_p4_example(self):
-        res = project_lp_ball(NonNegVector([1.0, 1.0]), 4, radius=1.0)
-        target = 2.0 ** (-1.0 / 4.0)
-        np.testing.assert_allclose(res.point.values, [target, target], atol=1e-9)
-        assert res.residual <= 1e-10
-        # 1-d grid oracle along the symmetry line z * (1, 1)
-        zs = np.arange(0.0, 1.0 + 5e-6, 1e-5)
-        feasible = zs[2.0 * zs**4 <= 1.0]
-        dists = np.abs(feasible - 1.0) * math.sqrt(2.0)
-        best = feasible[np.argmin(dists)]
-        assert res.point.values[0] == pytest.approx(best, abs=1e-5)
-
-    def test_norm_lands_on_boundary_for_exterior_points(self):
-        rng = np.random.default_rng(5)
-        for p in (2.5, 4.0, 8.0, 33.0, 1e4):
-            y = NonNegVector(rng.uniform(0.3, 1.5, size=5))
-            res = project_lp_ball(y, p, radius=0.6)
-            assert p_norm(res.point, p) == pytest.approx(0.6, abs=1e-9)
-
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            project_lp_ball(NonNegVector([1.0, 1.0]), 4, radius=0.0)
-
-
 class TestProjectFairRegion:
     def test_feasible_point_is_fixed_in_one_iteration(self):
         y = [0.3, 0.3, 0.4]
-        res = project_fair_region(y, FairnessSpec(0.2, 2))
-        np.testing.assert_allclose(res.point.values, y, atol=1e-12)
-        assert res.iterations == 1
+        for p in (2.0, 4.0, INFINITY):
+            res = project_fair_region(y, FairnessSpec(0.2, p))
+            np.testing.assert_allclose(res.point.values, y, atol=1e-12)
+            assert res.iterations == 1
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, INFINITY])
+    def test_inactive_ball_gives_the_simplex_point_in_one_iteration(self, p):
+        # eps = 0 makes the ball vacuous for every y
+        for y, eps in (([1.3, 1.3, 1.4], 0.2), ([2.0, -1.0, 0.5], 0.0), ([5.0, 1.0], 0.0)):
+            res = project_fair_region(y, FairnessSpec(eps, p))
+            np.testing.assert_allclose(res.point.values, project_simplex(y).values, atol=1e-15)
+            assert res.iterations == 1
 
     def test_eps_one_returns_uniform(self):
-        res = project_fair_region([9.0, -3.0, 0.5], FairnessSpec(1.0, 7))
-        np.testing.assert_array_equal(res.point.values, np.full(3, 1.0 / 3.0))
-        assert res.residual == 0.0
+        for p in (2.0, 7.0, INFINITY):
+            res = project_fair_region([9.0, -3.0, 0.5], FairnessSpec(1.0, p))
+            np.testing.assert_array_equal(res.point.values, np.full(3, 1.0 / 3.0))
+            assert res.residual == 0.0
+            assert res.iterations == 1
+        # just below 1, r^2 can round below 1/n = ||e/n||^2 at p = 2
+        for y in ([9.0, -3.0, 0.5, 2.0, 1.0, 0.0, 4.0], [1.0] * 5):
+            for p in (2.0, INFINITY):
+                res = project_fair_region(y, FairnessSpec(float(np.nextafter(1.0, 0.0)), p))
+                assert np.abs(res.point.values - 1.0 / len(y)).max() <= 1e-7
 
     def test_vertex_to_infinity_ball_example(self):
         res = project_fair_region([1.0, 0.0, 0.0], FairnessSpec(0.5, INFINITY))
@@ -159,6 +137,69 @@ class TestProjectFairRegion:
             exact = oracles.capped_simplex_projection(y, 0.5)
         assert np.abs(res.point.values - exact).max() <= 1e-9
         assert res.residual <= 1e-8
+
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_sort_based_forms_match_the_oracles(self, p):
+        # signed, nine-decade, tied (S_k = 0 on the top ties) and nearly constant rows
+        rng = np.random.default_rng(43)
+        oracle = oracles.exact_fair_projection_p2 if p == 2.0 else oracles.capped_simplex_projection
+        for n in (2, 3, 8, 60, 1000):
+            rows = (
+                rng.uniform(-2.0, 2.0, size=n),
+                10.0 ** rng.uniform(-6.0, 3.0, size=n),
+                rng.integers(0, 3, size=n).astype(float),
+                1.0 + 1e-9 * rng.standard_normal(n),
+            )
+            for y in rows:
+                eps = float(rng.uniform(0.05, 0.95))
+                res = project_fair_region(y, FairnessSpec(eps, p))
+                assert np.abs(res.point.values - oracle(y, eps)).max() <= 1e-10
+                assert res.iterations == 1
+
+    def test_p2_tied_top_entries(self):
+        # S_2 = 0: no point on the top-2 support reaches the sphere, so the support is all three
+        y = [1.0, 1.0, 0.0]
+        res = project_fair_region(y, FairnessSpec(0.9, 2.0))
+        assert res.point.values[2] > 0.0
+        assert res.point.values[0] == res.point.values[1]
+        assert np.abs(res.point.values - oracles.exact_fair_projection_p2(y, 0.9)).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_rows_near_1e8_keep_their_precision(self, p):
+        # the oracles resolve such rows to about ulp(1e8) = 1.5e-8
+        rng = np.random.default_rng(47)
+        oracle = oracles.exact_fair_projection_p2 if p == 2.0 else oracles.capped_simplex_projection
+        for n in (3, 7, 50, 200):
+            y = 1e8 + rng.standard_exponential(n)
+            for eps in (0.1, 0.5, 0.9):
+                res = project_fair_region(y, FairnessSpec(eps, p))
+                assert np.abs(res.point.values - oracle(y, eps)).max() <= 1e-7
+                assert res.iterations == 1
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 10.0, INFINITY])
+    def test_entries_past_2_53_project_onto_the_e1_maximiser(self, p):
+        # Proj(t e1) tends to the maximiser of x_1 as t grows; tests/oracles round such rows
+        # away, and 1e200 squared overflows
+        for n, top in ((3, 1e17), (5, 1e17), (3, 1e200)):
+            y = np.zeros(n)
+            y[0] = top
+            for eps in (0.25, 0.5):
+                spec = FairnessSpec(eps, p)
+                res = project_fair_region(y, spec)
+                target = solve(ObjectiveSpec(np.eye(n)[0]), spec).x_opt.values
+                assert np.abs(res.point.values - target).max() <= 1e-9
+                assert res.residual <= 1e-8
+
+    def test_capped_point_keeps_entries_below_ulp_of_the_max(self):
+        # r = 0.4: y - max y would round 3 to 0 in the first row, and sums that run
+        # through -1e17 would lose 3 and 2.95 in the second
+        rows = (
+            ([1e17, 0.0, 0.0, 3.0], [0.4, 0.1, 0.1, 0.4]),
+            ([3.0, 2.95, 0.0, -1e17], [0.4, 0.4, 0.2, 0.0]),
+        )
+        for y, expected in rows:
+            res = project_fair_region(y, FairnessSpec(0.5, INFINITY))
+            np.testing.assert_allclose(res.point.values, expected, atol=1e-15)
 
     def test_finite_p_point_is_optimal_on_quantile_profile(self):
         n = 100

@@ -56,10 +56,13 @@ def test_traced_optimize_commands(tmp_path):
     objective.write_text("0.3,-1,0.8,0.1\n")
     vectors = tmp_path / "y.csv"
     vectors.write_text("1.5,0.2,0.9,0.1,0.7,0.4\n")
+    project = ["project", "--input", str(vectors), "--eps", "0.5", "--p"]
     commands = {
         "solve": ["solve", "--objective", str(objective), "--eps", "0.25", "--p", "4"],
         "sweep": ["sweep", "--objective", str(objective), "--p", "2", "--eps-grid", "0:1:0.25"],
-        "project": ["project", "--input", str(vectors), "--eps", "0.5", "--p", "4"],
+        "project": project + ["4"],
+        "project-p2": project + ["2"],
+        "project-pinf": project + ["inf"],
     }
     metrics = {}
     for op, (name, argv) in enumerate(commands.items()):
@@ -70,7 +73,7 @@ def test_traced_optimize_commands(tmp_path):
             assert tracer.call(op, name, argv + ["--out", str(out)]) == 0
         finally:
             tracer.uninstall()
-        assert json.loads(out.read_text())["command"] == name
+        assert json.loads(out.read_text())["command"] == argv[0]
         metrics[name] = tracer.metrics(1, {})
     assert metrics["solve"]["solver.solve.calls"] == 1
     assert metrics["solve"]["solver.solve.iterations"] > 0
@@ -79,3 +82,9 @@ def test_traced_optimize_commands(tmp_path):
     assert project["geometry.project_fair_region.calls"] == 1
     assert project["geometry.project_fair_region.iterations"] > 1
     assert project["geometry.project_fair_region.at_cap"] == 0
+    # the sort-based forms at p = 2 and p = infinity evaluate one point
+    for name in ("project-p2", "project-pinf"):
+        assert metrics[name]["geometry.project_fair_region.calls"] == 1
+        assert metrics[name]["geometry.project_fair_region.iterations"] == 1
+        assert metrics[name]["geometry.project_fair_region.at_cap"] == 0
+        assert metrics[name]["geometry.pnorm_rows.calls"] > 0
