@@ -65,8 +65,8 @@ def project_simplex(y) -> SimplexVector:
     return SimplexVector(x / x.sum())
 
 
-def _sphere_point(y: np.ndarray, radius: float) -> np.ndarray:
-    """p = 2, ball active: x = 1/k + s (y - mean) on the support of the k largest y.
+def _sphere_point(y: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """p = 2, ball active: x = 1/k + s (y - mean) on the support of the k largest y, and its mu.
 
     On the support x = s (y - mu) with s = 1 / (1 + ball multiplier), so
     sum(x) = 1 fixes mu and ||x||^2 = 1/k + s^2 S_k, with S_k the squared
@@ -74,7 +74,8 @@ def _sphere_point(y: np.ndarray, radius: float) -> np.ndarray:
     every k at once; the k whose point is most clearly positive on its
     support and nonpositive past it is kept, and s is recomputed from that
     support alone. The point is unchanged by y -> a y + b (a > 0), so y is
-    mapped onto [-1, 0] first, which keeps the squares finite.
+    mapped onto [-1, 0] first, which keeps the squares finite. Where r^2
+    rounds onto 1/n, s = 0, x = e/n and mu is its limit, -infinity.
     """
     top = float(y.max())
     v = (y - top) / (top - float(y.min()))  # y is not constant: e/n never comes here
@@ -91,7 +92,8 @@ def _sphere_point(y: np.ndarray, radius: float) -> np.ndarray:
     support = u[:size]
     centre = float(support.mean())
     scale = math.sqrt((square - 1.0 / size) / float(((support - centre) ** 2).sum()))
-    return np.maximum(1.0 / size + scale * (v - centre), 0.0)
+    mu = top + (centre - 1.0 / (size * scale)) * (top - float(y.min())) if scale > 0.0 else -math.inf
+    return np.maximum(1.0 / size + scale * (v - centre), 0.0), mu
 
 
 def _capped_point(y: np.ndarray, radius: float) -> np.ndarray:
@@ -155,6 +157,8 @@ def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float,
     both conditions fall in mu and in kappa, and the implicit-function
     derivatives dz/dw = 1 / (1 + (p-1) kappa^(p-1) z^(p-2)) and
     dz/dkappa = -dz/dw (p-1) kappa^(p-2) z^(p-1) give the Jacobian. The
+    point is unchanged by a shift of y, so it runs on y - min y, where the
+    steps of mu resolve however far y is offset (on y - max y they need not). The
     start mu = min(tau, min y) - 1/n puts every coordinate in the support
     (the Jacobian is singular when the z on it are equal), and
     kappa = 1 / radius is the scale of the root.
@@ -170,7 +174,8 @@ def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float,
     z, both gaps and the evaluation count.
     """
     n = y.size
-    mu = min(tau, float(y.min())) - 1.0 / n
+    y, tau = y - y.min(), tau - float(y.min())
+    mu = min(tau, 0.0) - 1.0 / n
     kappa = 1.0 / radius
     lo, hi = -math.inf, min(tau, float(np.partition(y, n - 2)[n - 2]))
     evals = 0
@@ -249,7 +254,7 @@ def project_fair_region(
     evals = 0
     if float(_pnorm_rows(x, p)) > radius and x.min() < x.max():  # e/n is fair even where r rounds below it
         if p == 2.0:
-            x = _sphere_point(arr, radius)
+            x, _ = _sphere_point(arr, radius)
         elif p == INFINITY:
             x = _capped_point(arr, radius)
         elif max_iter > 1:

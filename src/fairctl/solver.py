@@ -1,20 +1,17 @@
 """Exact maximisation of a linear objective over the fair region, and Pareto sweeps in epsilon.
 
-The fair region is Delta_n intersected with the lp ball of radius
-r = 1 / (1 + eps D_p). Dualizing sum(x) = 1 with a multiplier mu leaves
-max (c - mu) . x over the nonnegative ball, which is r ||a||_q, reached at
-x(mu) = r (a / ||a||_q)^(1/(p-1)) with a = (c - mu)_+ and 1/p + 1/q = 1
-(the optimality, or KKT, conditions). So g(mu) = mu + r ||(c - mu)_+||_q
-bounds the optimum from above for every mu, and the sum of x(mu) never
-increases with mu: one bracketed monotone root finds the mu where it is 1.
-The returned point mixes the two points that bracket the root so that it
-sums to 1; both lie on the ball, so the mix stays in it. Its duality gap
-g(mu) - c . x certifies optimality.
+On the fair region, Delta_n and the lp ball of radius r = 1 / (1 + eps D_p),
+dualizing sum(x) = 1 with a multiplier mu leaves max (c - mu) . x over the
+nonnegative ball: r ||(c - mu)_+||_q with 1/p + 1/q = 1, at x(mu) proportional
+to (c - mu)_+^(1/(p-1)). So g(mu) = mu + r ||(c - mu)_+||_q bounds the optimum
+from above, and g - c . x at the point's own mu is its duality gap.
 
-Closed forms cover the rest: at eps = 1 the region is the single point e/n;
-when the uniform point on the argmax ties of c fits in the ball (always at
-eps = 0) it is optimal; at p = infinity x(mu) puts r on every c_i > mu, so
-the root is water-filling in sorted c order.
+The maximiser is the limit of the projection of t c as t grows, so it has
+the shape of geometry.project_fair_region: e/n at eps = 1; the uniform point
+on the argmax ties of c when it fits in the ball; else the sphere point of c
+at p = 2 and the capped-simplex point of 2 r rank(c) at p = infinity. Only at
+2 < p < infinity is mu a root of the falling sum of x(mu); the point mixes
+the two points on the ball that bracket it, so that it sums to 1.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .fairness import FairnessSpec, coefficient_of_variation, cone_constraint, c
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
-from .geometry import project_fair_region
+from .geometry import _capped_point, _sphere_point, project_fair_region
 
 
 @dataclass(frozen=True)
@@ -66,21 +63,6 @@ class ParetoPoint:
     cv: float
     cv_bound: float
     converged: bool = True
-
-
-def _water_fill(c: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """p = infinity: r on the largest c_i in turn, the mass left spread over the first tied level that does not fit.
-
-    Returns the point and the dual bound at its multiplier mu, the value of
-    that level.
-    """
-    levels, counts = np.unique(-c, return_counts=True)  # c's distinct values, largest first
-    filled = np.cumsum(counts) * radius
-    j = min(int(np.searchsorted(filled, 1.0)), levels.size - 1)
-    mu = -float(levels[j])
-    x = np.where(c > mu, radius, 0.0)
-    x[c == mu] = (1.0 - (filled[j - 1] if j else 0.0)) / counts[j]
-    return x, mu + radius * float(np.maximum(c - mu, 0.0).sum())
 
 
 def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int, xtol: float = 0.0):
@@ -132,12 +114,10 @@ def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int
     Each side of the bracket keeps its latest (x(mu), sum, g(mu)); the ends
     of the domain start them: mu = max c, where x(mu) is the uniform point
     on the ties scaled onto the ball, and mu = -infinity, where it is e/n
-    scaled onto the ball. When the first already sums to 1 or more, the
-    ball is inactive and the uniform point on the ties is the answer. The
-    search stops once the bracket is narrower than tol / 100, which bounds
-    the duality gap of the mix even where x(mu) jumps (at huge p it is
-    almost a step function). Returns the point, the smaller dual bound and
-    the evaluation count.
+    scaled onto the ball. The search stops once the bracket is narrower
+    than tol / 100, which bounds the duality gap of the mix even where x(mu)
+    jumps (at huge p it is almost a step function). Returns the point, the
+    smaller dual bound and the evaluation count.
     """
     n = c.size
     power = 1.0 / (p - 1.0)
@@ -146,8 +126,6 @@ def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int
     ties = c == top
     k = int(np.count_nonzero(ties))
     high = [ties * (radius * k ** (-1.0 / p)), radius * k ** (1.0 / q), top]
-    if high[1] >= 1.0:
-        return ties / k, top, 0
     low = [np.full(n, radius * n ** (-1.0 / p)), radius * n ** (1.0 / q), math.inf]
 
     def sum_gap(mu: float) -> float:
@@ -169,16 +147,32 @@ def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int
 
 
 def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
-    """The maximiser of c . x over the fair region, its duality gap and the evaluations of x(mu)."""
+    """The maximiser of c . x over the fair region, its duality gap, convergence and x(mu) evaluations.
+
+    The gap converges at tol max(1, max |c|), the size of the values it is a difference of.
+    """
     n = c.size
-    if spec.epsilon == 1.0:
-        return np.full(n, 1.0 / n), 0.0, 0
     radius = cone_constraint(n, spec).radius
-    if spec.p == INFINITY:
-        x, dual, evals = *_water_fill(c, radius), 0
+    if spec.epsilon == 1.0 or (spec.p == 2.0 and radius * radius <= 1.0 / n):
+        # the single point e/n; at p = 2 just below eps = 1, r^2 can round onto its norm 1/n
+        return np.full(n, 1.0 / n), 0.0, True, 0
+    top = float(c.max())
+    ties = c == top
+    k = int(np.count_nonzero(ties))
+    evals = 0
+    if radius * k ** (1.0 - 1.0 / spec.p) >= 1.0:
+        x, dual = ties / k, top
+    elif spec.p == 2.0:
+        x, mu = _sphere_point(c, radius)
+        dual = mu + radius * float(_pnorm_rows(np.maximum(c - mu, 0.0), 2.0))
+    elif spec.p == INFINITY:
+        x = _capped_point(2.0 * radius * np.unique(c, return_inverse=True)[1], radius)
+        mu = float(c[x > 0.0].min())
+        dual = mu + radius * float(np.maximum(c - mu, 0.0).sum())
     else:
         x, dual, evals = _kkt_root(c, spec.p, radius, tol, max_evals)
-    return x, dual - float(c @ x), evals
+    gap = dual - float(c @ x)
+    return x, gap, gap <= tol * max(1.0, float(np.abs(c).max())), evals
 
 
 def solve(
@@ -189,17 +183,17 @@ def solve(
 ) -> SolveResult:
     """Maximize obj over the fair region by its optimality conditions.
 
-    iterations counts evaluations of x(mu), at most max_iter (0 where a
-    closed form applies); converged means the duality gap is at most tol.
+    iterations counts evaluations of x(mu), at most max_iter (0 where a sort
+    or closed form applies); converged: a duality gap of at most tol max(1, max |c|).
     """
     c = obj.coefficients
-    x, gap, iterations = _maximize(c, spec, tol, max_iter)
+    x, gap, converged, iterations = _maximize(c, spec, tol, max_iter)
     point = SimplexVector(x)
     return SolveResult(
         x_opt=point,
         objective_value=float(c @ x),
         iterations=iterations,
-        converged=gap <= tol,
+        converged=converged,
         eps_max_at_opt=eps_max(point, spec.p),
         cv_at_opt=coefficient_of_variation(point),
         duality_gap=gap,
@@ -216,7 +210,7 @@ def pareto_sweep(
     """Trace the efficiency-vs-fairness frontier by solving at each epsilon.
 
     The grid must be ascending within [0, 1]. A point whose duality gap
-    exceeds tol is flagged on that point, not raised.
+    exceeds tol max(1, max |c|) is flagged on that point, not raised.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -229,14 +223,14 @@ def pareto_sweep(
     points = []
     for eps in grid:
         spec = FairnessSpec(eps, p)
-        x, gap, _ = _maximize(c, spec, tol, max_iter)
+        x, _, converged, _ = _maximize(c, spec, tol, max_iter)
         points.append(
             ParetoPoint(
                 epsilon=eps,
                 objective_value=float(c @ x),
                 cv=coefficient_of_variation(SimplexVector(x)),
                 cv_bound=cv_bound(c.size, spec),
-                converged=gap <= tol,
+                converged=converged,
             )
         )
     return points

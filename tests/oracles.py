@@ -132,9 +132,14 @@ def lp_vertex_max(c, eps: float) -> float:
 
 
 def _simplex_projection(y) -> np.ndarray:
-    """Projection onto the simplex by bisection on the threshold t of max(y - t, 0)."""
+    """Projection onto the simplex by bisection on the threshold t of max(y - t, 0).
+
+    The threshold lies within 1 below max y, so the bisection runs on
+    y - max y over [-1, 0], where it resolves entries past 2^53.
+    """
     y = np.asarray(y, dtype=float)
-    lo, hi = float(y.min()) - 1.0, float(y.max())
+    y = y - y.max()
+    lo, hi = -1.0, 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if np.maximum(y - mid, 0.0).sum() > 1.0:

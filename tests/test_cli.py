@@ -178,6 +178,14 @@ class TestProject:
         assert code == 0
         assert doc["results"]["points"][0]["converged"] is True
 
+    def test_row_offset_by_1e8_converges_in_few_evaluations(self, capsys, tmp_path):
+        path = write(tmp_path / "y.csv", "100000000.5,100000000.1,100000000.9,100000000.3\n")
+        code, doc = run_json(capsys, "project", "--eps", "0.5", "--p", "10", "--input", path)
+        assert code == 0
+        point = doc["results"]["points"][0]
+        assert point["converged"] is True
+        assert point["iterations"] <= 50
+
     def test_negative_query_vectors_rejected(self, capsys, tmp_path):
         # the vector file format is nonnegative; only the library API takes
         # arbitrary real query points
@@ -251,6 +259,15 @@ class TestSolve:
         assert 0.0 <= res["duality_gap"] <= doc["inputs"]["tol"] + 1e-15
         assert "step" not in doc["inputs"]
 
+    @pytest.mark.parametrize("p", ["2", "4", "inf"])
+    def test_large_objective_converges_relative_to_its_size(self, capsys, tmp_path, p):
+        # a gap of about 56 is 6e-16 of this objective
+        path = write(tmp_path / "obj.csv", "1e17,0,0,3\n")
+        code, doc = run_json(capsys, "solve", "--objective", path, "--eps", "0.5", "--p", p)
+        assert code == 0
+        assert doc["results"]["converged"] is True
+        assert abs(doc["results"]["duality_gap"]) <= 1e-8 * 1e17
+
     def test_step_flag_is_gone(self, capsys, c321_csv):
         code, out, err = run(
             capsys, "solve", "--objective", c321_csv, "--eps", "0.5", "--p", "2", "--step", "0.1"
@@ -310,6 +327,13 @@ class TestSweep:
         parsed = [float(line.split(",")[1]) for line in lines]
         for a, b in zip(parsed, reported):
             assert abs(a - b) <= 1e-15 * max(abs(b), 1.0)
+
+    @pytest.mark.parametrize("p", ["2", "4", "inf"])
+    def test_large_objective_converges_relative_to_its_size(self, capsys, tmp_path, p):
+        path = write(tmp_path / "obj.csv", "1e17,0,0,3\n")
+        code, doc = run_json(capsys, "sweep", "--objective", path, "--p", p, "--eps-grid", "0:1:0.25")
+        assert code == 0
+        assert all(pt["converged"] for pt in doc["results"]["points"])
 
     def test_bad_grid_rejected(self, capsys, c321_csv):
         for grid in ("0:1", "0.5:0.1:0.1", "0:1.5:0.5", "a:b:c"):

@@ -178,17 +178,34 @@ class TestProjectFairRegion:
 
     @pytest.mark.parametrize("p", [2.0, 4.0, 10.0, INFINITY])
     def test_entries_past_2_53_project_onto_the_e1_maximiser(self, p):
-        # Proj(t e1) tends to the maximiser of x_1 as t grows; tests/oracles round such rows
-        # away, and 1e200 squared overflows
-        for n, top in ((3, 1e17), (5, 1e17), (3, 1e200)):
-            y = np.zeros(n)
-            y[0] = top
+        # Proj(t e1) tends to the maximiser of x_1 as t grows. At p = 2 and p = infinity solve
+        # runs the projection's own kernels, so the oracles judge 1e17 and the closed forms of
+        # that maximiser judge 1e200, which no oracle resolves; at finite p, solve's root does.
+        # (0, -1e17, -1e17) is the same row shifted.
+        for n, top, shift in ((3, 1e17, 0.0), (5, 1e17, 0.0), (3, 1e17, -1e17), (3, 1e200, 0.0)):
+            y = np.full(n, shift)
+            y[0] = top + shift
             for eps in (0.25, 0.5):
                 spec = FairnessSpec(eps, p)
                 res = project_fair_region(y, spec)
-                target = solve(ObjectiveSpec(np.eye(n)[0]), spec).x_opt.values
+                radius = oracles.fair_radius(n, eps, p)
+                if p == 2.0 and top == 1e200:
+                    t = math.sqrt((radius**2 - 1.0 / n) / (1.0 - 1.0 / n))
+                    target = np.full(n, (1.0 - t) / n)
+                    target[0] += t
+                elif p == INFINITY and top == 1e200:
+                    target = np.full(n, (1.0 - radius) / (n - 1))
+                    target[0] = radius
+                elif p == 2.0:
+                    target = oracles.exact_fair_projection_p2(y - shift, eps)
+                elif p == INFINITY:
+                    target = oracles.capped_simplex_projection(y - shift, eps)
+                else:
+                    target = solve(ObjectiveSpec(np.eye(n)[0]), spec).x_opt.values
                 assert np.abs(res.point.values - target).max() <= 1e-9
                 assert res.residual <= 1e-8
+                if top == 1e17:
+                    assert res.iterations <= 50
 
     def test_capped_point_keeps_entries_below_ulp_of_the_max(self):
         # r = 0.4: y - max y would round 3 to 0 in the first row, and sums that run
@@ -233,6 +250,18 @@ class TestProjectFairRegion:
                 assert ball_gap <= 1e-12
                 if res.iterations > 1:  # the ball is active: the point lies on it
                     assert ball_gap >= -1e-12
+                assert res.iterations <= 50
+        # an offset of 1e8, whose steps in mu round away unless the iteration runs on y - min y;
+        # the point is unchanged by the shift, and the oracle resolves the shifted row
+        y = np.array([100000000.5, 100000000.1, 100000000.9, 100000000.3])
+        for eps in (0.5, 0.9):
+            res = project_fair_region(y, FairnessSpec(eps, p))
+            assert res.residual <= 1e-8
+            assert oracles.fair_projection_kkt_residual(res.point.values, y - y.min(), eps, p) <= 1e-6
+            # on the ball to the iteration's sum tolerance, 1e-2 tol
+            ball_gap = oracles.hp_norm(res.point.values, p) / oracles.fair_radius(4, eps, p) - 1.0
+            assert abs(ball_gap) <= 1e-10
+            assert res.iterations <= 50
 
     def test_iteration_cap_counts_evaluations(self):
         y = -np.log1p(-(np.arange(50) + 0.5) / 50)

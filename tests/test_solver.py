@@ -102,6 +102,35 @@ class TestExactMaximiser:
             c = rng.uniform(-1.0, 3.0, size=n)
             assert_optimal(solve(ObjectiveSpec(c), FairnessSpec(eps, p)), c, eps, p)
 
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_sort_kernels_reach_the_dual_bound(self, p):
+        # normal, tied, nine-decade and 1e8-offset objectives; no x(mu) is evaluated
+        rng = np.random.default_rng(59)
+        for n in (2, 3, 10, 60, 1000):
+            objectives = (
+                rng.standard_normal(n),
+                rng.integers(0, 4, size=n).astype(float),
+                10.0 ** rng.uniform(-6.0, 3.0, size=n),
+                1e8 + rng.standard_exponential(n),
+            )
+            for c in objectives:
+                scale = max(1.0, float(np.abs(c).max()))
+                for eps in (0.05, 0.25, 0.5, 0.75, 0.95, 0.999):
+                    res = solve(ObjectiveSpec(c), FairnessSpec(eps, p))
+                    assert res.iterations == 0 and res.converged
+                    bound = oracles.linear_max_dual_bound(c, eps, p)
+                    assert abs(res.objective_value - bound) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_eps_just_below_one_gives_about_the_mean(self, p):
+        # r^2 rounds onto 1/n or just past it: at n = 5 and 7 the sphere point is e/n itself
+        eps = float(np.nextafter(1.0, 0.0))
+        for n in (3, 5, 7, 50):
+            c = np.random.default_rng(n).standard_normal(n)
+            res = solve(ObjectiveSpec(c), FairnessSpec(eps, p))
+            assert res.converged and res.iterations == 0
+            assert abs(res.objective_value - float(c.mean())) <= 1e-7
+
     @pytest.mark.parametrize("p", ["1e4", "1e308"])
     def test_huge_exponents_in_a_child_process(self, tmp_path, p):
         # a child process, so that a hang fails this test instead of stalling the suite

@@ -59,6 +59,8 @@ def test_traced_optimize_commands(tmp_path):
     project = ["project", "--input", str(vectors), "--eps", "0.5", "--p"]
     commands = {
         "solve": ["solve", "--objective", str(objective), "--eps", "0.25", "--p", "4"],
+        "solve-p2": ["solve", "--objective", str(objective), "--eps", "0.25", "--p", "2"],
+        "solve-pinf": ["solve", "--objective", str(objective), "--eps", "0.25", "--p", "inf"],
         "sweep": ["sweep", "--objective", str(objective), "--p", "2", "--eps-grid", "0:1:0.25"],
         "project": project + ["4"],
         "project-p2": project + ["2"],
@@ -77,6 +79,10 @@ def test_traced_optimize_commands(tmp_path):
         metrics[name] = tracer.metrics(1, {})
     assert metrics["solve"]["solver.solve.calls"] == 1
     assert metrics["solve"]["solver.solve.iterations"] > 0
+    # at p = 2 and p = infinity the solver runs the projection's sort kernels, and evaluates no x(mu)
+    for name in ("solve-p2", "solve-pinf"):
+        assert metrics[name]["solver.solve.calls"] == 1
+        assert metrics[name]["solver.solve.iterations"] == 0
     assert metrics["sweep"]["solver.pareto_sweep.ms"] > 0
     project = metrics["project"]
     assert project["geometry.project_fair_region.calls"] == 1
