@@ -7,11 +7,15 @@ to (c - mu)_+^(1/(p-1)). So g(mu) = mu + r ||(c - mu)_+||_q bounds the optimum
 from above, and g - c . x at the point's own mu is its duality gap.
 
 The maximiser is the limit of the projection of t c as t grows, so it has
-the shape of geometry.project_fair_region: e/n at eps = 1; the uniform point
-on the argmax ties of c when it fits in the ball; else the sphere point of c
-at p = 2 and the capped-simplex point of 2 r rank(c) at p = infinity. Only at
-2 < p < infinity is mu a root of the falling sum of x(mu); the point mixes
-the two points on the ball that bracket it, so that it sums to 1.
+the shape of geometry.project_fair_region: e/n when r is at most its norm
+n^(1/p - 1), which holds at eps = 1 and can hold just below it by rounding;
+the uniform point on the argmax ties of c when it fits in the ball; else the
+sphere point of c at p = 2 and the capped-simplex point of 2 r rank(c) at
+p = infinity. Only at 2 < p < infinity is mu a root of the falling sum of
+x(mu): a bracket on it closes until the mix of its two ends, the point on the
+ball that sums to 1, has a duality gap against the smaller end's g far below
+tol. The sum's range shrinks with 1 - eps, so no test on the sum could stop
+the search at every eps.
 """
 
 from __future__ import annotations
@@ -62,62 +66,22 @@ class ParetoPoint:
     objective_value: float
     cv: float
     cv_bound: float
-    converged: bool = True
-
-
-def _decreasing_root(f, a: float, fa: float, step: float, tol: float, max_evals: int, xtol: float = 0.0):
-    """Root of a nonincreasing f from a point a with f(a) = fa; step has the sign of fa.
-
-    Trials step on from a, doubling the step, until f changes sign; then
-    Illinois secant steps (bisection when one leaves the bracket) run until
-    |f| <= tol, the bracket shrinks to adjacent floats or to xtol, or
-    max_evals evaluations are spent. Returns f at the last point evaluated
-    (fa if none) and the evaluation count; callers read the root from state
-    that f keeps, which belongs to that last point.
-    """
-    if abs(fa) <= tol or max_evals < 1:
-        return fa, 0
-    b = a + step
-    fb = f(b)
-    evals = 1
-    while abs(fb) > tol and (fb > 0.0) == (fa > 0.0) and evals < max_evals:
-        step *= 2.0
-        a, fa, b = b, fb, b + step
-        fb = f(b)
-        evals += 1
-    fc = fb
-    side = 0
-    while abs(fc) > tol and evals < max_evals and abs(b - a) > xtol:
-        c = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < c < max(a, b):
-            c = 0.5 * (a + b)
-            if not min(a, b) < c < max(a, b):
-                break
-        fc = f(c)
-        evals += 1
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-            if side == 1:
-                fa *= 0.5  # Illinois damping keeps the secant moving
-            side = 1
-        else:
-            a, fa = c, fc
-            if side == -1:
-                fb *= 0.5
-            side = -1
-    return fc, evals
+    converged: bool
 
 
 def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int):
-    """Finite p: the root on mu of sum x(mu) = 1.
+    """Finite p: the mix of two points x(mu) on the ball that bracket the root of sum x(mu) = 1.
 
-    Each side of the bracket keeps its latest (x(mu), sum, g(mu)); the ends
-    of the domain start them: mu = max c, where x(mu) is the uniform point
-    on the ties scaled onto the ball, and mu = -infinity, where it is e/n
-    scaled onto the ball. The search stops once the bracket is narrower
-    than tol / 100, which bounds the duality gap of the mix even where x(mu)
-    jumps (at huge p it is almost a step function). Returns the point, the
-    smaller dual bound and the evaluation count.
+    Each end of the bracket keeps (mu, x(mu), sum - 1, g(mu)). The upper end
+    starts at mu = max c, where x(mu) is the uniform point on the ties scaled
+    onto the ball, and the lower end at mu = -infinity, where it is e/n scaled
+    onto the ball. Trials step down from max c, doubling, until the lower end
+    is finite; then Illinois secant steps run, with bisection when one leaves
+    the bracket. Each iteration mixes the two ends into the point that sums
+    to 1. The search stops once that point's duality gap against the smaller
+    g is at most tol / 100 of max(1, max |c|), once the bracket reaches
+    adjacent floats, or after max_evals evaluations. Returns the point, that
+    g and the evaluation count.
     """
     n = c.size
     power = 1.0 / (p - 1.0)
@@ -125,25 +89,45 @@ def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int
     top = float(c.max())
     ties = c == top
     k = int(np.count_nonzero(ties))
-    high = [ties * (radius * k ** (-1.0 / p)), radius * k ** (1.0 / q), top]
-    low = [np.full(n, radius * n ** (-1.0 / p)), radius * n ** (1.0 / q), math.inf]
-
-    def sum_gap(mu: float) -> float:
+    # the sums _maximize tested, r k^(1 - 1/p) < 1 < r n^(1 - 1/p), so the mix never divides by zero
+    high = (top, ties * (radius * k ** (-1.0 / p)), radius * k ** (1.0 - 1.0 / p) - 1.0, top)
+    low = (-math.inf, np.full(n, radius * n ** (-1.0 / p)), radius * n ** (1.0 - 1.0 / p) - 1.0, math.inf)
+    f_low, f_high = low[2], high[2]  # the secant's values, Illinois-damped
+    stop = 1e-2 * tol * max(1.0, float(np.abs(c).max()))
+    step = -(top - float(c.min()))
+    side = 0
+    evals = 0
+    while True:
+        theta = high[2] / (high[2] - low[2])
+        x = theta * low[1] + (1.0 - theta) * high[1]
+        x /= x.sum()
+        dual = min(low[3], high[3])
+        if dual - float(c @ x) <= stop or evals >= max_evals:
+            return x, dual, evals
+        if low[0] == -math.inf:
+            mu = top + step
+            step *= 2.0
+        else:
+            mu = high[0] - f_high * (high[0] - low[0]) / (f_high - f_low)
+            if not low[0] < mu < high[0]:
+                mu = 0.5 * (low[0] + high[0])
+                if not low[0] < mu < high[0]:
+                    return x, dual, evals
         a = np.maximum(c - mu, 0.0)
         norm = float(_pnorm_rows(a, q))
         with np.errstate(under="ignore"):
             # mask 0^0: at huge p the power rounds to 0
-            x = radius * np.where(a > 0.0, (a / norm) ** power, 0.0)
-        s = float(x.sum())
-        (low if s >= 1.0 else high)[:] = x, s, mu + radius * norm
-        return s - 1.0
-
-    step = -(top - float(c.min()))
-    _, evals = _decreasing_root(sum_gap, top, high[1] - 1.0, step, 1e-2 * tol, max_evals, 1e-2 * tol)
-    (x_low, s_low, g_low), (x_high, s_high, g_high) = low, high
-    theta = (1.0 - s_high) / (s_low - s_high)
-    x = theta * x_low + (1.0 - theta) * x_high
-    return x / x.sum(), min(g_low, g_high), evals
+            point = radius * np.where(a > 0.0, (a / norm) ** power, 0.0)
+        end = (mu, point, float(point.sum()) - 1.0, mu + radius * norm)
+        evals += 1
+        if end[2] >= 0.0:
+            if side < 0:
+                f_high *= 0.5  # Illinois damping keeps the secant moving
+            low, f_low, side = end, end[2], -1
+        else:
+            if side > 0:
+                f_low *= 0.5
+            high, f_high, side = end, end[2], 1
 
 
 def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
@@ -153,8 +137,8 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
     """
     n = c.size
     radius = cone_constraint(n, spec).radius
-    if spec.epsilon == 1.0 or (spec.p == 2.0 and radius * radius <= 1.0 / n):
-        # the single point e/n; at p = 2 just below eps = 1, r^2 can round onto its norm 1/n
+    if spec.epsilon == 1.0 or radius * n ** (1.0 - 1.0 / spec.p) <= 1.0:
+        # the single point e/n: just below eps = 1 the radius can round onto its norm
         return np.full(n, 1.0 / n), 0.0, True, 0
     top = float(c.max())
     ties = c == top
@@ -185,6 +169,8 @@ def solve(
 
     iterations counts evaluations of x(mu), at most max_iter (0 where a sort
     or closed form applies); converged: a duality gap of at most tol max(1, max |c|).
+    The search on mu at 2 < p < infinity stops on that gap, at a hundredth of
+    the bound, so it converges at every eps up to 1 unless max_iter cuts it.
     """
     c = obj.coefficients
     x, gap, converged, iterations = _maximize(c, spec, tol, max_iter)
@@ -204,13 +190,11 @@ def pareto_sweep(
     obj: ObjectiveSpec,
     p: float,
     eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
-    tol: float = 1e-8,
-    max_iter: int = 20000,
 ) -> list[ParetoPoint]:
-    """Trace the efficiency-vs-fairness frontier by solving at each epsilon.
+    """Trace the efficiency-vs-fairness frontier: one solve at each epsilon.
 
     The grid must be ascending within [0, 1]. A point whose duality gap
-    exceeds tol max(1, max |c|) is flagged on that point, not raised.
+    exceeds the default tolerance of solve is flagged on that point, not raised.
     """
     grid = [float(e) for e in eps_grid]
     if not grid:
@@ -219,18 +203,17 @@ def pareto_sweep(
         raise ValueError("epsilon grid values must lie in [0, 1]")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    c = obj.coefficients
     points = []
     for eps in grid:
         spec = FairnessSpec(eps, p)
-        x, _, converged, _ = _maximize(c, spec, tol, max_iter)
+        res = solve(obj, spec)
         points.append(
             ParetoPoint(
                 epsilon=eps,
-                objective_value=float(c @ x),
-                cv=coefficient_of_variation(SimplexVector(x)),
-                cv_bound=cv_bound(c.size, spec),
-                converged=converged,
+                objective_value=res.objective_value,
+                cv=res.cv_at_opt,
+                cv_bound=cv_bound(obj.coefficients.size, spec),
+                converged=res.converged,
             )
         )
     return points

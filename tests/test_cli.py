@@ -268,6 +268,14 @@ class TestSolve:
         assert doc["results"]["converged"] is True
         assert abs(doc["results"]["duality_gap"]) <= 1e-8 * 1e17
 
+    def test_finite_p_converges_just_below_eps_one(self, capsys, tmp_path):
+        path = write(tmp_path / "obj.csv", "0.3,-1,0.8,0.1\n")
+        code, doc = run_json(capsys, "solve", "--objective", path, "--eps", "0.999999999999", "--p", "4")
+        assert code == 0
+        assert doc["results"]["converged"] is True
+        bound = oracles.linear_max_dual_bound([0.3, -1.0, 0.8, 0.1], 0.999999999999, 4.0)
+        assert abs(doc["results"]["objective_value"] - bound) <= 1e-8
+
     def test_step_flag_is_gone(self, capsys, c321_csv):
         code, out, err = run(
             capsys, "solve", "--objective", c321_csv, "--eps", "0.5", "--p", "2", "--step", "0.1"

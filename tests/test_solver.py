@@ -121,15 +121,44 @@ class TestExactMaximiser:
                     bound = oracles.linear_max_dual_bound(c, eps, p)
                     assert abs(res.objective_value - bound) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 10.0, INFINITY])
     def test_eps_just_below_one_gives_about_the_mean(self, p):
-        # r^2 rounds onto 1/n or just past it: at n = 5 and 7 the sphere point is e/n itself
+        # the radius rounds onto the norm of e/n or just past it: at p = 2 and n = 5 and 7
+        # the answer is e/n itself; at (n, p) = (10, 10), (50, 3), (50, 10) and (1000, 10)
+        # r n^(1 - 1/p) and r n^(1/q) round to opposite sides of 1
         eps = float(np.nextafter(1.0, 0.0))
-        for n in (3, 5, 7, 50):
+        for n in (3, 5, 7, 10, 50, 1000):
             c = np.random.default_rng(n).standard_normal(n)
             res = solve(ObjectiveSpec(c), FairnessSpec(eps, p))
-            assert res.converged and res.iterations == 0
+            assert res.converged
+            if p in (2.0, INFINITY):
+                assert res.iterations == 0
             assert abs(res.objective_value - float(c.mean())) <= 1e-7
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 10.0, 50.0])
+    def test_finite_p_converges_just_below_eps_one(self, p):
+        # the sum of x(mu) ranges over about 1 - eps here, so only the gap can stop the search;
+        # the oracle is skipped at nextafter(1, 0), where the float radius and the 50-digit
+        # one differ by as much as the region differs from e/n
+        for n in (2, 3, 10, 50, 1000):
+            c = np.random.default_rng(n).standard_normal(n)
+            scale = max(1.0, float(np.abs(c).max()))
+            for eps in (1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+                res = solve(ObjectiveSpec(c), FairnessSpec(eps, p))
+                assert res.converged
+                bound = oracles.linear_max_dual_bound(c, eps, p)
+                assert abs(res.objective_value - bound) <= 1e-8 * scale
+
+    def test_evaluation_budget(self):
+        # a count, not a wall time: the grid of test_matches_the_dual_bound at 2 < p < infinity
+        counts = []
+        for n in (2, 3, 50, 1000):
+            for p in (3.0, 4.0, 10.0, 50.0):
+                rng = np.random.default_rng(n)
+                for eps in (0.2, 0.5, 0.9):
+                    c = rng.uniform(-1.0, 3.0, size=n)
+                    counts.append(solve(ObjectiveSpec(c), FairnessSpec(eps, p)).iterations)
+        assert np.median(counts) <= 12 and max(counts) <= 40
 
     @pytest.mark.parametrize("p", ["1e4", "1e308"])
     def test_huge_exponents_in_a_child_process(self, tmp_path, p):
