@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -166,8 +167,73 @@ def _document(command: str, inputs: dict, results: dict, seed: int | None = None
     return doc
 
 
+#: json.dumps's own C string encoder, and the cache key of a list item's prefix
+_encode = json.encoder.encode_basestring_ascii
+_ITEM = object()
+
+
+def _scalar(value) -> str:
+    """A str, None, bool, int or float as json.dumps writes it, tried in json's isinstance order."""
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, float):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write(value, out: list[str], nl: str, prefixes: dict) -> None:
+    """Append the JSON text of a dict, list or tuple to out; nl is a newline and its line's indent.
+
+    prefixes caches ',<nl>  "key": ' per indent, for str keys only: 1, 1.0 and True are one key.
+    """
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        out.append(brackets)
+        return
+    inner = nl + "  "
+    cache = prefixes.get(inner) or prefixes.setdefault(inner, {_ITEM: "," + inner})
+    out.append(brackets[0])
+    start = len(out)
+    for key, item in value.items() if brackets == "{}" else zip(itertools.repeat(_ITEM), value):
+        prefix = cache.get(key)
+        if prefix is None:
+            prefix = "," + inner + _encode(key if isinstance(key, str) else _scalar(key)) + ": "
+            if isinstance(key, str):
+                cache[key] = prefix
+        kind = type(item)  # exact builtins are written here, anything else by _scalar or recursion
+        if kind is float and math.isfinite(item) or kind is int:
+            out.append(prefix + repr(item))
+        elif kind is str:
+            out.append(prefix + _encode(item))
+        elif kind is bool:
+            out.append(prefix + ("true" if item else "false"))
+        elif kind is dict or kind is list or isinstance(item, (list, tuple, dict)):
+            out.append(prefix)
+            _write(item, out, inner, prefixes)
+        else:
+            out.append(prefix + _scalar(item))
+    out[start] = out[start][1:]  # the first item has no comma
+    out.append(nl + brackets[1])
+
+
+def _json_text(value) -> str:
+    """The text of json.dumps(value, indent=2, allow_nan=False), from one walk of value."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    out: list[str] = []
+    _write(value, out, "\n", {})
+    return "".join(out)
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """Write doc as 2-space-indented, ASCII-escaped JSON, the bytes of json.dumps(indent=2); NaN or inf: exit 2."""
+    text = _json_text(doc) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

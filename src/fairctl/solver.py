@@ -20,6 +20,7 @@ the search at every eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +54,15 @@ class SolveResult:
     objective_value: float
     iterations: int
     converged: bool
-    eps_max_at_opt: float
     cv_at_opt: float
     duality_gap: float
+    #: the exponent of the fair region, which eps_max_at_opt reads
+    p: float
+
+    @functools.cached_property
+    def eps_max_at_opt(self) -> float:
+        """The largest eps the optimum meets at p; computed on first read, since sweeps never read it."""
+        return eps_max(self.x_opt, self.p)
 
 
 @dataclass(frozen=True)
@@ -180,9 +187,9 @@ def solve(
         objective_value=float(c @ x),
         iterations=iterations,
         converged=converged,
-        eps_max_at_opt=eps_max(point, spec.p),
         cv_at_opt=coefficient_of_variation(point),
         duality_gap=gap,
+        p=spec.p,
     )
 
 

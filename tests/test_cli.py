@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import math
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairctl
 from fairctl import __version__
+from fairctl import cli
 from fairctl.cli import MAX_GRID_POINTS, main
 
 import oracles
@@ -515,3 +519,99 @@ class TestReportShape:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["check", "--nope"]) == 2
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+# report-like values: every scalar json writes, nested in dicts, lists and tuples
+_text = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ["", "p", 'a "quoted" key', "back\\slash", "\x00\x1f\t\n\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]
+)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = (
+    _text
+    | _finite
+    | _finite.map(np.float64)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e308, -1e308, 0.1, 1 / 3])
+    | st.integers()
+    | st.sampled_from([0, -1, 2**70, -(2**70), _Level.LOW, _Level.HIGH])
+    | st.booleans()
+    | st.none()
+)
+_reports = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_text, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(_reports)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    def test_non_str_keys_are_written_as_json_writes_them(self):
+        # 1, 1.0 and True are equal keys with three different texts
+        value = [{1: "a"}, {True: "b"}, {1.0: "c"}, {None: "d"}, {"1": "e"}, {False: [1]}, {2**70: {}}]
+        assert cli._json_text(value) == _dumps(value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+    @pytest.mark.parametrize(
+        "place", [lambda v: v, lambda v: [1, v], lambda v: {"a": [{"b": v}]}, lambda v: ({"k": (v,)},), lambda v: {v: 1}]
+    )
+    def test_nan_and_inf_raise_value_error(self, bad, place):
+        with pytest.raises(ValueError):
+            _dumps(place(bad))
+        with pytest.raises(ValueError):
+            cli._json_text(place(bad))
+
+    @pytest.mark.parametrize(
+        "value",
+        [object(), {"a": [1, object()]}, [{1, 2}], {"a": np.int64(3)}, [b"bytes"], {(1, 2): 3}, {"a": np.bool_(True)}],
+    )
+    def test_unsupported_objects_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_report_with_nan_exits_two(self, capsys, monkeypatch, half_half_csv):
+        monkeypatch.setitem(cli._COMMANDS, "epsmax", lambda args: ({"value": math.nan}, 0))
+        code, out, err = run(capsys, "epsmax", "--p", "2", "--input", half_half_csv)
+        assert (code, out) == (2, "")
+        assert "not JSON compliant" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--eps", "0.3", "--p", "2,4,inf", "--input", "{vec}"],
+            ["epsmax", "--p", "2,3.5,inf", "--input", "{vec}"],
+            ["project", "--eps", "0.5", "--p", "4", "--input", "{vec}"],
+            ["solve", "--eps", "0.5", "--p", "4", "--objective", "{obj}"],
+            ["sweep", "--p", "inf", "--eps-grid", "0:1:0.25", "--objective", "{obj}"],
+            ["verify", "--suite", "corner,inclusion", "--samples", "50", "--seed", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_report_bytes_equal_indented_json_dumps(self, capsys, tmp_path, argv):
+        vec = write(tmp_path / "vec.csv", "0.5,0.5,0,0\n1e-12,3,2.5,7\n1,1,1,1.000001\n")
+        obj = write(tmp_path / "obj.csv", "3,-2.5,1e-9,0.7\n")
+        argv = [a.format(vec=vec, obj=obj) for a in argv]
+        target = tmp_path / "report.json"
+        code_file, out, _ = run(capsys, *argv, "--out", str(target))
+        assert out == ""
+        code_stdout, out, _ = run(capsys, *argv)
+        assert code_file == code_stdout
+        data = target.read_bytes()
+        assert out.encode() == data
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()

@@ -105,14 +105,14 @@ class TestPNorm:
         with pytest.raises(ValueError):
             p_norm(NonNegVector([1.0, 2.0]), 0.5)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(1e-3, 1e3), st.floats(1.0, 200.0))
     def test_positive_homogeneity(self, vals, t, p):
         x = NonNegVector(vals)
         scaled = NonNegVector(t * np.asarray(vals))
         assert p_norm(scaled, p) == pytest.approx(t * p_norm(x, p), rel=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(1.0, 60.0), st.floats(1.0, 60.0))
     def test_norm_equivalence_two_sided(self, vals, pa, pb):
         assume(abs(pa - pb) > 1e-3)
@@ -124,7 +124,7 @@ class TestPNorm:
         assert t2 <= t1 + 1e-10
         assert t1 <= ratio * t2 + 1e-10
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.0, 100.0))
     def test_strict_norm_bounds_inside_simplex(self, vals, p):
         x = simplex(vals)
@@ -172,7 +172,7 @@ class TestPowerSum:
         with pytest.raises(ValueError):
             power_sum(SimplexVector([0.5, 0.5]), INFINITY)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.1, 60.0))
     def test_derivative_matches_finite_difference(self, vals, p):
         x = simplex(vals)
@@ -198,7 +198,7 @@ class TestEntropies:
         w = WeightVector([0.5, 0.5, 0.0, 0.0])
         assert shannon_entropy(w) == pytest.approx(math.log(2), abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.0, 64.0))
     def test_entropy_sandwich(self, vals, p):
         x = simplex(vals)
@@ -207,7 +207,7 @@ class TestEntropies:
         assert h >= -1e-12
         assert h <= -(p / (p - 1.0)) * math.log(p_norm(x, p)) + 1e-10
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.0, 50.0))
     def test_entropy_identity(self, vals, p):
         x = simplex(vals)
@@ -239,7 +239,7 @@ class TestNormalize:
         y = normalize(NonNegVector([1.0, 2.0, 3.0, 4.0]))
         np.testing.assert_allclose(y.values, [0.1, 0.2, 0.3, 0.4], atol=1e-15)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(positive_vectors)
     def test_idempotent(self, vals):
         once = normalize(NonNegVector(vals))

@@ -88,7 +88,7 @@ class TestIsFair:
         assert is_fair(HALF_HALF, FairnessSpec(0.4, 2))
         assert not is_fair(HALF_HALF, FairnessSpec(0.42, 2))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(positive_vectors, st.floats(1e-4, 1e4), st.floats(0.0, 1.0), st.floats(2.0, 50.0))
     def test_scale_invariance(self, vals, t, eps, p):
         spec = FairnessSpec(eps, p)
@@ -96,13 +96,13 @@ class TestIsFair:
         scaled = NonNegVector(t * np.asarray(vals))
         assert is_fair(x, spec) == is_fair(scaled, spec)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(positive_vectors, st.floats(0.0, 1.0), st.floats(2.0, 50.0))
     def test_threshold_equivalence(self, vals, eps, p):
         x = simplex(vals)
         assert is_fair(x, FairnessSpec(eps, p), tol=0.0) == (eps <= eps_max(x, p))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(positive_vectors, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(2.0, 50.0))
     def test_nestedness_in_eps(self, vals, e1, e2, p):
         hi, lo = max(e1, e2), min(e1, e2)
@@ -132,7 +132,7 @@ class TestCoefficientOfVariation:
         bound = cv_bound(4, FairnessSpec(eps_max(HALF_HALF, 2), 2))
         assert cv * cv == pytest.approx(bound, abs=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(positive_vectors)
     def test_matches_definition_form(self, vals):
         # abs floor 2e-8: near the uniform point the algebraic form takes

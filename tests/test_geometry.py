@@ -69,7 +69,7 @@ class TestProjectSimplex:
         np.testing.assert_array_equal(a.values, b.values)
         assert a.values[0] == a.values[1]
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(real_vectors)
     def test_beats_random_feasible_points(self, vals):
         y = np.asarray(vals)

@@ -14,6 +14,9 @@ from fairctl import (
     INFINITY,
     FairnessSpec,
     ObjectiveSpec,
+    ParetoPoint,
+    cv_bound,
+    eps_max,
     is_fair,
     p_norm,
     pareto_sweep,
@@ -280,6 +283,29 @@ class TestParetoSweep:
             lo = solve(c, FairnessSpec(0.5, INFINITY)).objective_value
             hi = solve(c, FairnessSpec(0.5, 2)).objective_value
             assert lo <= hi + 1e-6
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 10.0, INFINITY])
+    def test_points_equal_a_loop_of_solve(self, p):
+        c = ObjectiveSpec(np.random.default_rng(17).normal(size=20))
+        grid = [k / 8 for k in range(9)]
+        expected = []
+        for eps in grid:
+            spec = FairnessSpec(eps, p)
+            res = solve(c, spec)
+            expected.append(
+                ParetoPoint(eps, res.objective_value, res.cv_at_opt, cv_bound(20, spec), res.converged)
+            )
+        assert pareto_sweep(c, p, eps_grid=grid) == expected
+
+    def test_eps_max_at_opt_is_computed_only_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fairctl.solver, "eps_max", lambda x, p: calls.append(p) or eps_max(x, p))
+        pareto_sweep(C321, 4.0, eps_grid=[0.0, 0.5, 1.0])
+        res = solve(C321, FairnessSpec(0.5, 4.0))
+        assert calls == []
+        assert res.eps_max_at_opt == eps_max(res.x_opt, 4.0)
+        assert res.eps_max_at_opt == eps_max(res.x_opt, 4.0)
+        assert calls == [4.0]
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
