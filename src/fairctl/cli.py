@@ -5,6 +5,12 @@ for a semantic negative (a non-member vector, a failed suite, a
 non-converged solve), 2 for usage or input errors. Every report carries the
 package version; the verify command echoes its seed, which can also be set
 through the FAIRCTL_SEED environment variable.
+
+Input errors exit 2 with a message on stderr. Flag values are judged while
+the arguments are parsed, by the library's own checks, so the message names
+the flag in the library's words. A bad CSV row is named as file:line, and
+an input file that cannot be read or an output file (--out, --emit-csv)
+that cannot be written is named by its path.
 """
 
 from __future__ import annotations
@@ -20,40 +26,26 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import INFINITY
-from .fairness import MEMBERSHIP_TOL, FairnessSpec, dispersion_report
+from .core import _row_fault, check_exponent
+from .fairness import MEMBERSHIP_TOL, FairnessSpec, check_epsilon, dispersion_report
 from .geometry import project_fair_region
 from .solver import ObjectiveSpec, pareto_sweep, solve
-from .verifier import SUITE_NAMES, VerifyConfig, _p_token, run_suite
-
-DEFAULT_SEED = 42
+from .verifier import DEFAULT_N_VALUES, DEFAULT_P_CHAIN, SUITE_NAMES, VerifyConfig, _p_token, run_suite
 
 #: Most epsilon values a sweep grid may hold; each one is a full solve.
 MAX_GRID_POINTS = 10000
 
 
-class CliError(Exception):
-    """Usage or input error; converted to exit status 2."""
+def _flag(parse):
+    """An argparse type from parse: its ValueError becomes argparse's error, which names the flag."""
 
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
 
-def _parse_p(token: str) -> float:
-    text = token.strip().lower()
-    if text == "inf":
-        return INFINITY
-    try:
-        p = float(text)
-    except ValueError:
-        raise CliError(f"invalid exponent {token!r}: expected a real >= 2 or 'inf'")
-    if math.isnan(p) or p < 2.0:
-        raise CliError(f"invalid exponent {token!r}: expected a real >= 2 or 'inf'")
-    return p
-
-
-def _parse_p_list(text: str) -> list[float]:
-    tokens = [t for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise CliError("exponent list is empty")
-    return [_parse_p(t) for t in tokens]
+    return convert
 
 
 def _positive(kind):
@@ -65,44 +57,46 @@ def _positive(kind):
         except ValueError:
             value = 0
         if not (value > 0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, got {text!r}")
+            raise ValueError(f"expected a finite {kind.__name__} > 0, got {text!r}")
         return value
 
-    return parse
+    return _flag(parse)
 
 
-def _parse_eps(value: float) -> float:
-    if not (0.0 <= value <= 1.0):
-        raise CliError(f"epsilon must lie in [0, 1], got {value!r}")
-    return float(value)
+@_flag
+def _exponents(text: str) -> list[float]:
+    ps = [check_exponent(token) for token in text.split(",") if token.strip()]
+    if not ps:
+        raise ValueError("exponent list is empty")
+    return ps
 
 
-def _parse_grid(text: str) -> list[float]:
+@_flag
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(token) for token in text.split(",") if token.strip())
+
+
+def _suites(text: str) -> tuple[str, ...]:
+    if text.strip().lower() == "all":
+        return SUITE_NAMES
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
+@_flag
+def _eps_grid(text: str) -> list[float]:
+    """start:stop:step as the epsilon values from start to stop, each within [0, 1]."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"invalid grid {text!r}: expected start:stop:step")
-    try:
-        start, stop, step = (float(t) for t in parts)
-    except ValueError:
-        raise CliError(f"invalid grid {text!r}: expected numeric start:stop:step")
+        raise ValueError(f"invalid grid {text!r}: expected start:stop:step")
+    start, stop, step = (float(t) for t in parts)
     if not (step > 0 and stop >= start):
-        raise CliError(f"invalid grid {text!r}: need step > 0 and stop >= start")
-    if start < 0.0 or stop > 1.0:
-        raise CliError(f"invalid grid {text!r}: epsilon values must lie in [0, 1]")
+        raise ValueError(f"invalid grid {text!r}: need step > 0 and stop >= start")
+    check_epsilon(start)
+    check_epsilon(stop)
     span = (stop - start) / step + 1e-9
     if span >= MAX_GRID_POINTS:
-        raise CliError(f"invalid grid {text!r}: more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"invalid grid {text!r}: more than {MAX_GRID_POINTS} points")
     return [min(start + k * step, 1.0) for k in range(math.floor(span) + 1)]
-
-
-def _value_error(rows: np.ndarray, nonneg: bool) -> tuple[int, str] | None:
-    """Index of the first row with a non-finite (or, with nonneg, negative) entry, and what is wrong."""
-    finite = np.isfinite(rows).all(axis=-1)
-    good = finite & ~(rows < 0).any(axis=-1) if nonneg else finite
-    if good.all():
-        return None
-    index = int(np.argmin(good))
-    return index, "entries must be finite" if not finite[index] else "entries must be nonnegative"
 
 
 def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
@@ -111,13 +105,13 @@ def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
     Lines are parsed into float lists, up to the first line whose shape is
     wrong, and their entries are checked as one array. Every error names
     the first bad line in file order, and within a line a bad entry comes
-    before a bad shape.
+    before a bad shape. A zero row is accepted here.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read {path!r}: {exc}")
+        raise ValueError(f"cannot read {path!r}: {exc}")
     rows: list[list[float]] = []
     linenos: list[int] = []
     shape_error = None  # (line number, message, its values if it parsed)
@@ -140,22 +134,22 @@ def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
         rows.append(values)
         linenos.append(lineno)
     array = np.array(rows, dtype=float)
-    found = _value_error(array, nonneg)
+    found = _row_fault(array, nonneg, positive=False)
     if found is not None:
-        raise CliError(f"{path}:{linenos[found[0]]}: {found[1]}")
+        raise ValueError(f"{path}:{linenos[found[0]]}: {found[1]}")
     if shape_error is not None:
         lineno, message, values = shape_error
-        found = None if values is None else _value_error(np.array([values]), nonneg)
-        raise CliError(f"{path}:{lineno}: {message if found is None else found[1]}")
+        found = None if values is None else _row_fault(np.array(values), nonneg, positive=False)
+        raise ValueError(f"{path}:{lineno}: {message if found is None else found[1]}")
     if not rows:
-        raise CliError(f"{path}: no vectors found")
+        raise ValueError(f"{path}: no vectors found")
     return array
 
 
 def _read_objective(path: str) -> ObjectiveSpec:
     rows = _read_rows(path, nonneg=False)
     if len(rows) != 1:
-        raise CliError(f"{path}: objective file must contain exactly one row, found {len(rows)}")
+        raise ValueError(f"{path}: objective file must contain exactly one row, found {len(rows)}")
     return ObjectiveSpec(rows[0])
 
 
@@ -231,29 +225,34 @@ def _json_text(value) -> str:
     return "".join(out)
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}")
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
     """Write doc as 2-space-indented, ASCII-escaped JSON, the bytes of json.dumps(indent=2); NaN or inf: exit 2."""
     text = _json_text(doc) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(out_path, text)
 
 
 def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):
     """The CSV's rows as one array, with one dispersion_report call over them all."""
-    ps = _parse_p_list(args.p)
     rows = _read_rows(args.input)
     try:
-        return ps, dispersion_report(rows, ps, eps, tol=tol)
+        return dispersion_report(rows, args.p, eps, tol=tol)
     except ValueError as exc:
-        raise CliError(f"{args.input}: {exc}")
+        raise ValueError(f"{args.input}: {exc}")
 
 
 def _cmd_check(args) -> tuple[dict, int]:
-    eps = _parse_eps(args.eps)
-    ps, report = _assess(args, eps, args.tol)
+    report = _assess(args, args.eps, args.tol)
     per_p = [
         (_p_token(e.p), e.eps_max.tolist(), e.member.tolist(), e.cv_bound)
         for e in report.per_p
@@ -279,8 +278,8 @@ def _cmd_check(args) -> tuple[dict, int]:
         "check",
         {
             "input": args.input,
-            "eps": eps,
-            "p": [_p_token(p) for p in ps],
+            "eps": args.eps,
+            "p": [_p_token(p) for p in args.p],
             "tol": args.tol,
         },
         {"vectors": results, "all_members": all_members},
@@ -289,7 +288,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_epsmax(args) -> tuple[dict, int]:
-    ps, report = _assess(args, 0.0)
+    report = _assess(args, 0.0)
     per_p = [(_p_token(e.p), e.eps_max.tolist()) for e in report.per_p]
     results = [
         {"index": i, "per_p": [{"p": p, "eps_max": em[i]} for p, em in per_p]}
@@ -297,16 +296,14 @@ def _cmd_epsmax(args) -> tuple[dict, int]:
     ]
     doc = _document(
         "epsmax",
-        {"input": args.input, "p": [_p_token(p) for p in ps]},
+        {"input": args.input, "p": [_p_token(p) for p in args.p]},
         {"vectors": results},
     )
     return doc, 0
 
 
 def _cmd_project(args) -> tuple[dict, int]:
-    eps = _parse_eps(args.eps)
-    p = _parse_p(args.p)
-    spec = FairnessSpec(eps, p)
+    spec = FairnessSpec(args.eps, args.p)
     rows = _read_rows(args.input)
     results = []
     all_converged = True
@@ -327,8 +324,8 @@ def _cmd_project(args) -> tuple[dict, int]:
         "project",
         {
             "input": args.input,
-            "eps": eps,
-            "p": _p_token(p),
+            "eps": args.eps,
+            "p": _p_token(args.p),
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
@@ -338,17 +335,15 @@ def _cmd_project(args) -> tuple[dict, int]:
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    eps = _parse_eps(args.eps)
-    p = _parse_p(args.p)
     obj = _read_objective(args.objective)
-    res = solve(obj, FairnessSpec(eps, p), tol=args.tol, max_iter=args.max_iter)
+    res = solve(obj, FairnessSpec(args.eps, args.p), tol=args.tol, max_iter=args.max_iter)
     doc = _document(
         "solve",
         {
             "objective": args.objective,
             "coefficients": obj.coefficients.tolist(),
-            "eps": eps,
-            "p": _p_token(p),
+            "eps": args.eps,
+            "p": _p_token(args.p),
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
@@ -366,10 +361,8 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
-    p = _parse_p(args.p)
-    grid = _parse_grid(args.eps_grid)
     obj = _read_objective(args.objective)
-    points = pareto_sweep(obj, p, eps_grid=grid)
+    points = pareto_sweep(obj, args.p, eps_grid=args.eps_grid)
     rows = [
         {
             "epsilon": pt.epsilon,
@@ -386,15 +379,14 @@ def _cmd_sweep(args) -> tuple[dict, int]:
             lines.append(
                 f"{pt.epsilon!r},{pt.objective_value!r},{pt.cv!r},{pt.cv_bound!r}"
             )
-        with open(args.emit_csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write_file(args.emit_csv, "\n".join(lines) + "\n")
     doc = _document(
         "sweep",
         {
             "objective": args.objective,
             "coefficients": obj.coefficients.tolist(),
-            "p": _p_token(p),
-            "eps_grid": grid,
+            "p": _p_token(args.p),
+            "eps_grid": args.eps_grid,
             "emit_csv": args.emit_csv,
         },
         {"points": rows},
@@ -410,26 +402,17 @@ def _resolve_seed(args) -> int:
         try:
             return int(env)
         except ValueError:
-            raise CliError(f"FAIRCTL_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
+            raise ValueError(f"FAIRCTL_SEED must be an integer, got {env!r}")
+    return VerifyConfig.seed
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if args.suite.strip().lower() == "all":
-        suites = SUITE_NAMES
-    else:
-        suites = tuple(tok.strip() for tok in args.suite.split(",") if tok.strip())
     seed = _resolve_seed(args)
-    try:
-        n_values = tuple(int(tok) for tok in args.n_values.split(",") if tok.strip())
-    except ValueError:
-        raise CliError(f"invalid dimension list {args.n_values!r}")
-    p_values = tuple(_parse_p_list(args.p_chain))
     cfg = VerifyConfig(
-        suites=suites,
+        suites=args.suite,
         samples=args.samples,
-        n_values=n_values,
-        p_values=p_values,
+        n_values=args.n_values,
+        p_values=args.p_chain,
         seed=seed,
         tol=args.tol,
     )
@@ -457,51 +440,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fairctl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    epsilon = _flag(check_epsilon)
+    exponent = _flag(check_exponent)
 
     check = sub.add_parser("check", help="membership and thresholds for vectors in a CSV file")
     check.add_argument("--input", required=True, help="CSV file, one vector per line")
-    check.add_argument("--eps", type=float, required=True, help="fairness level in [0, 1]")
-    check.add_argument("--p", required=True, help="comma-separated exponents, each >= 2 or 'inf'")
-    check.add_argument("--tol", type=_positive(float), default=1e-9, help="relative membership tolerance")
+    check.add_argument("--eps", type=epsilon, required=True, help="fairness level in [0, 1]")
+    check.add_argument("--p", type=_exponents, required=True, help="comma-separated exponents, each >= 2 or 'inf'")
+    check.add_argument(
+        "--tol", type=_positive(float), default=MEMBERSHIP_TOL, help="relative membership tolerance"
+    )
     check.add_argument("--out", default=None, help="write the JSON report to a file")
 
     epsmax = sub.add_parser("epsmax", help="maximal fairness threshold per vector")
     epsmax.add_argument("--input", required=True)
-    epsmax.add_argument("--p", required=True, help="comma-separated exponents")
+    epsmax.add_argument("--p", type=_exponents, required=True, help="comma-separated exponents")
     epsmax.add_argument("--out", default=None)
 
     project = sub.add_parser("project", help="project vectors onto the fair region")
     project.add_argument("--input", required=True)
-    project.add_argument("--eps", type=float, required=True)
-    project.add_argument("--p", required=True, help="a single exponent >= 2 or 'inf'")
+    project.add_argument("--eps", type=epsilon, required=True)
+    project.add_argument("--p", type=exponent, required=True, help="a single exponent >= 2 or 'inf'")
     project.add_argument("--tol", type=_positive(float), default=1e-8)
     project.add_argument("--max-iter", type=_positive(int), default=5000)
     project.add_argument("--out", default=None)
 
     solve_cmd = sub.add_parser("solve", help="maximize a linear objective over the fair region")
     solve_cmd.add_argument("--objective", required=True, help="CSV file with one coefficient row")
-    solve_cmd.add_argument("--eps", type=float, required=True)
-    solve_cmd.add_argument("--p", required=True)
+    solve_cmd.add_argument("--eps", type=epsilon, required=True)
+    solve_cmd.add_argument("--p", type=exponent, required=True)
     solve_cmd.add_argument("--tol", type=_positive(float), default=1e-8)
     solve_cmd.add_argument("--max-iter", type=_positive(int), default=20000)
     solve_cmd.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="trace the efficiency-vs-fairness frontier over epsilon")
     sweep.add_argument("--objective", required=True)
-    sweep.add_argument("--p", required=True)
-    sweep.add_argument("--eps-grid", required=True, help="start:stop:step within [0, 1]")
+    sweep.add_argument("--p", type=exponent, required=True)
+    sweep.add_argument("--eps-grid", type=_eps_grid, required=True, help="start:stop:step within [0, 1]")
     sweep.add_argument("--emit-csv", default=None, help="also write epsilon,objective,cv,cv_bound rows")
     sweep.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the sampling-based theorem suites")
-    verify.add_argument("--suite", default="all", help="'all' or comma-separated suite names")
-    verify.add_argument("--samples", type=int, default=10000)
-    verify.add_argument("--seed", type=int, default=None, help="defaults to FAIRCTL_SEED or 42")
-    verify.add_argument("--n-values", default="2,3,5,10", help="comma-separated dimensions")
+    verify.add_argument("--suite", type=_suites, default="all", help="'all' or comma-separated suite names")
+    verify.add_argument("--samples", type=int, default=VerifyConfig.samples)
     verify.add_argument(
-        "--p-chain", default="2,3,4,6,10,20,50,inf", help="comma-separated exponent chain"
+        "--seed", type=int, default=None, help=f"defaults to FAIRCTL_SEED or {VerifyConfig.seed}"
     )
-    verify.add_argument("--tol", type=_positive(float), default=1e-9)
+    verify.add_argument("--n-values", type=_ints, default=DEFAULT_N_VALUES, help="comma-separated dimensions")
+    verify.add_argument(
+        "--p-chain", type=_exponents, default=DEFAULT_P_CHAIN, help="comma-separated exponent chain"
+    )
+    verify.add_argument("--tol", type=_positive(float), default=VerifyConfig.tol)
     verify.add_argument("--out", default=None)
 
     return parser
@@ -529,9 +518,6 @@ def main(argv=None) -> int:
     try:
         doc, status = _COMMANDS[args.command](args)
         _emit(doc, args.out)
-    except CliError as exc:
-        print(f"fairctl: error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"fairctl: error: {exc}", file=sys.stderr)
         return 2

@@ -29,14 +29,38 @@ def check_exponent(p: float, minimum: float = 2.0) -> float:
     return p
 
 
-def _as_vector(values: Iterable[float] | np.ndarray) -> np.ndarray:
+def _row_fault(rows: np.ndarray, nonneg: bool = True, positive: bool = True) -> tuple[int, str] | None:
+    """The first row, in row order, that breaks a rule, and the rule it breaks; None if none does.
+
+    Rows lie along the last axis, and a 1-D vector is row 0. Every row must
+    have finite entries; with nonneg, no negative entry; with positive, a
+    positive entry. A row that breaks several rules is named by the first
+    of them in that order.
+    """
+    rules = [(~np.isfinite(rows).all(axis=-1), "entries must be finite")]
+    if nonneg:
+        rules.append(((rows < 0).any(axis=-1), "entries must be nonnegative"))
+    if positive:
+        rules.append((~(rows > 0).any(axis=-1), "the zero vector is not accepted"))
+    bad = rules[0][0]
+    for fault, _ in rules[1:]:
+        bad = bad | fault
+    if not bad.any():
+        return None
+    index = int(np.argmax(bad))
+    return index, next(why for fault, why in rules if np.ravel(fault)[index])
+
+
+def _as_vector(values: Iterable[float] | np.ndarray, nonneg: bool = False) -> np.ndarray:
+    """values as a 1-D float array of n >= 2 finite entries; with nonneg, nonnegative with a positive one."""
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     if arr.size < 2:
         raise ValueError(f"dimension must be at least 2, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
+    fault = _row_fault(arr, nonneg, nonneg)
+    if fault is not None:
+        raise ValueError(fault[1])
     return arr
 
 
@@ -50,11 +74,7 @@ class NonNegVector:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[float] | np.ndarray):
-        arr = _as_vector(values)
-        if np.any(arr < 0):
-            raise ValueError("vector entries must be nonnegative")
-        if not np.any(arr > 0):
-            raise ValueError("the zero vector is not accepted")
+        arr = _as_vector(values, nonneg=True)
         self._validate(arr)
         arr.flags.writeable = False
         self._values = arr

@@ -33,6 +33,7 @@ from .core import (
     normalize,
     p_norm,
     _pnorm_rows,
+    _row_fault,
 )
 
 #: Round-off window within which eps_max is clamped back into [0, 1].
@@ -40,6 +41,14 @@ EPS_CLAMP_TOL = 1e-12
 
 #: Default relative tolerance for membership tests.
 MEMBERSHIP_TOL = 1e-9
+
+
+def check_epsilon(eps: float) -> float:
+    """Validate a fairness level: a real in [0, 1]."""
+    eps = float(eps)
+    if not (0.0 <= eps <= 1.0):
+        raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,7 @@ class FairnessSpec:
     p: float
 
     def __post_init__(self):
-        eps = float(self.epsilon)
-        if not (0.0 <= eps <= 1.0):
-            raise ValueError(f"epsilon must lie in [0, 1], got {eps!r}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
@@ -193,10 +199,10 @@ def dispersion_report(
     """Normalize every row and assess it against every requested exponent at one eps.
 
     ``rows`` is a (k, n) array, which gives length-k arrays, or a single
-    vector (a NonNegVector or a 1-D array), which gives numpy scalars. A row
-    with a non-finite or negative entry, or with no positive entry, raises
-    ValueError naming its index. Entries come back sorted by p ascending
-    with infinity last.
+    vector (a NonNegVector or a 1-D array), which gives numpy scalars. The
+    first row with a non-finite or negative entry, or with no positive
+    entry, raises ValueError naming its index. Entries come back sorted by
+    p ascending with infinity last.
     """
     if not ps:
         raise ValueError("at least one exponent is required")
@@ -204,14 +210,9 @@ def dispersion_report(
     x = rows.values if isinstance(rows, NonNegVector) else np.asarray(rows, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] < 2:
         raise ValueError(f"expected rows of dimension at least 2, got shape {x.shape}")
-    for ok, why in (
-        (np.isfinite(x).all(axis=-1), "entries must be finite"),
-        ((x >= 0).all(axis=-1), "entries must be nonnegative"),
-        ((x > 0).any(axis=-1), "the zero vector is not accepted"),
-    ):
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            raise ValueError(f"vector {bad[0]}: {why}")
+    fault = _row_fault(x)
+    if fault is not None:
+        raise ValueError(f"vector {fault[0]}: {fault[1]}")
     y = x / x.sum(axis=-1, keepdims=True)
     n = y.shape[-1]
     return DispersionReport(

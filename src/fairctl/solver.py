@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INFINITY, SimplexVector, _as_vector, _pnorm_rows
-from .fairness import FairnessSpec, coefficient_of_variation, cone_constraint, cv_bound, eps_max
+from .fairness import FairnessSpec, check_epsilon, coefficient_of_variation, cone_constraint, cv_bound, eps_max
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
@@ -203,11 +203,9 @@ def pareto_sweep(
     The grid must be ascending within [0, 1]. A point whose duality gap
     exceeds the default tolerance of solve is flagged on that point, not raised.
     """
-    grid = [float(e) for e in eps_grid]
+    grid = [check_epsilon(e) for e in eps_grid]
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
-    if any(e < 0.0 or e > 1.0 for e in grid):
-        raise ValueError("epsilon grid values must lie in [0, 1]")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
     points = []

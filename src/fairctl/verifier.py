@@ -15,7 +15,7 @@ tolerance (default 1e-9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,19 +27,6 @@ from .core import (
     _shannon_rows,
 )
 from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows
-
-SUITE_NAMES = (
-    "cv-bound",
-    "inclusion",
-    "equivalence",
-    "corner",
-    "entropy-identity",
-    "entropy-sandwich",
-    "lemma-a1",
-    "f-decreasing",
-    "norm-equivalence",
-    "eps-nesting",
-)
 
 DEFAULT_N_VALUES = (2, 3, 5, 10)
 DEFAULT_P_CHAIN = (2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0, math.inf)
@@ -64,7 +51,7 @@ def _p_token(p: float):
 class VerifyConfig:
     """What to verify: suites, sample count, dimensions, exponent chain, seed."""
 
-    suites: tuple[str, ...] = SUITE_NAMES
+    suites: tuple[str, ...] = field(default_factory=lambda: SUITE_NAMES)
     samples: int = 10000
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     p_values: tuple[float, ...] = DEFAULT_P_CHAIN
@@ -433,6 +420,9 @@ _CHECKS = {
     "norm-equivalence": _check_norm_equivalence,
     "eps-nesting": _check_eps_nesting,
 }
+
+#: The suites in canonical order; a suite's position keys its random substream.
+SUITE_NAMES = tuple(_CHECKS)
 
 
 def _run_one(name: str, cfg: VerifyConfig) -> SuiteResult:

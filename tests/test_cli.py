@@ -231,11 +231,17 @@ class TestFlagValidation:
             ("solve", "--eps", "0.5", "--p", "2", "--tol", "nan"),
             ("solve", "--eps", "0.5", "--p", "2", "--max-iter", "-3"),
             ("verify", "--tol", "nan"),
+            ("check", "--p", "2", "--eps", "1.5"),
+            ("check", "--eps", "0.5", "--p", "1.2"),
+            ("epsmax", "--p", ""),
+            ("sweep", "--p", "2", "--eps-grid", "0:2:0.5"),
+            ("verify", "--n-values", "1,x"),
+            ("verify", "--p-chain", "nan"),
         ],
     )
     def test_bad_numeric_flag_names_the_flag(self, capsys, tmp_path, argv):
         path = write(tmp_path / "v.csv", "3,2,1\n")
-        source = "--objective" if argv[0] == "solve" else "--input"
+        source = "--objective" if argv[0] in ("solve", "sweep") else "--input"
         extra = () if argv[0] == "verify" else (source, path)
         code, out, err = run(capsys, *argv, *extra)
         assert code == 2
@@ -519,6 +525,26 @@ class TestReportShape:
 
     def test_unknown_flag_exits_two(self, capsys):
         assert main(["check", "--nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--eps", "0.3", "--p", "2", "--input", "{vec}", "--out", "{bad}"],
+            ["epsmax", "--p", "2", "--input", "{vec}", "--out", "{bad}"],
+            ["project", "--eps", "0.5", "--p", "2", "--input", "{vec}", "--out", "{bad}"],
+            ["solve", "--eps", "0.5", "--p", "2", "--objective", "{obj}", "--out", "{bad}"],
+            ["sweep", "--p", "2", "--eps-grid", "0:1:0.5", "--objective", "{obj}", "--out", "{bad}"],
+            ["sweep", "--p", "2", "--eps-grid", "0:1:0.5", "--objective", "{obj}", "--emit-csv", "{bad}"],
+            ["verify", "--suite", "corner", "--samples", "50", "--out", "{bad}"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, half_half_csv, c321_csv, argv):
+        bad = str(tmp_path / "missing" / "report")
+        code, out, err = run(capsys, *(a.format(vec=half_half_csv, obj=c321_csv, bad=bad) for a in argv))
+        assert (code, out) == (2, "")
+        assert f"cannot write {bad!r}" in err
+        assert "Traceback" not in err
 
 
 class _Level(enum.IntEnum):

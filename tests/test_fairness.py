@@ -287,9 +287,12 @@ class TestDispersionReport:
         np.testing.assert_array_equal(report.per_p[1].member, [True, True, False])
 
     def test_bad_row_is_named_by_index(self):
-        rows = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="vector 2: the zero vector"):
-            dispersion_report(rows, [2], eps=0.5)
-        rows[1, 0] = -1.0
-        with pytest.raises(ValueError, match="vector 1: entries must be nonnegative"):
-            dispersion_report(rows, [2], eps=0.5)
+        # the first bad row is named, whichever rule it breaks
+        for rows, message in (
+            ([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]], "vector 2: the zero vector"),
+            ([[1.0, 2.0], [-1.0, 4.0], [0.0, 0.0]], "vector 1: entries must be nonnegative"),
+            ([[1.0, -1.0, 1.0], [math.nan, 1.0, 1.0]], "vector 0: entries must be nonnegative"),
+            ([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0]], "vector 0: the zero vector"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                dispersion_report(np.array(rows), [2], eps=0.5)
