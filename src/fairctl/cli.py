@@ -8,9 +8,11 @@ through the FAIRCTL_SEED environment variable.
 
 Input errors exit 2 with a message on stderr. Flag values are judged while
 the arguments are parsed, by the library's own checks, so the message names
-the flag in the library's words. A bad CSV row is named as file:line, and
-an input file that cannot be read or an output file (--out, --emit-csv)
-that cannot be written is named by its path.
+the flag in the library's words; verify's flags and FAIRCTL_SEED are judged
+by a VerifyConfig built from each alone. Defaults are the library's. A bad
+CSV row, zero rows included, is named as file:line, and an input file that
+cannot be read or an output file (--out, --emit-csv) that cannot be written
+is named by its path.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import _row_fault, check_exponent
+from .core import CONVERGENCE_TOL, _row_fault, check_exponent, check_iterations, check_tolerance
 from .fairness import MEMBERSHIP_TOL, FairnessSpec, check_epsilon, dispersion_report
-from .geometry import project_fair_region
-from .solver import ObjectiveSpec, pareto_sweep, solve
+from .geometry import PROJECTION_MAX_ITER, project_fair_region
+from .solver import SOLVE_MAX_ITER, ObjectiveSpec, pareto_sweep, solve
 from .verifier import DEFAULT_N_VALUES, DEFAULT_P_CHAIN, SUITE_NAMES, VerifyConfig, _p_token, run_suite
 
 #: Most epsilon values a sweep grid may hold; each one is a full solve.
@@ -48,21 +50,6 @@ def _flag(parse):
     return convert
 
 
-def _positive(kind):
-    """argparse type for tolerances and iteration caps: a finite kind > 0."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = 0
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"expected a finite {kind.__name__} > 0, got {text!r}")
-        return value
-
-    return _flag(parse)
-
-
 @_flag
 def _exponents(text: str) -> list[float]:
     ps = [check_exponent(token) for token in text.split(",") if token.strip()]
@@ -71,7 +58,6 @@ def _exponents(text: str) -> list[float]:
     return ps
 
 
-@_flag
 def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(token) for token in text.split(",") if token.strip())
 
@@ -80,6 +66,14 @@ def _suites(text: str) -> tuple[str, ...]:
     if text.strip().lower() == "all":
         return SUITE_NAMES
     return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
+def _config_field(name: str, parse):
+    """argparse type for one VerifyConfig field: parse reads the text, and a config built from it judges it."""
+    return _flag(lambda text: getattr(VerifyConfig(**{name: parse(text)}), name))
+
+
+_seed = _config_field("seed", int)
 
 
 @_flag
@@ -99,13 +93,13 @@ def _eps_grid(text: str) -> list[float]:
     return [min(start + k * step, 1.0) for k in range(math.floor(span) + 1)]
 
 
-def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
+def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.ndarray:
     """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments.
 
     Lines are parsed into float lists, up to the first line whose shape is
     wrong, and their entries are checked as one array. Every error names
     the first bad line in file order, and within a line a bad entry comes
-    before a bad shape. A zero row is accepted here.
+    before a bad shape. With positive, a row needs a positive entry.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -134,12 +128,12 @@ def _read_rows(path: str, nonneg: bool = True) -> np.ndarray:
         rows.append(values)
         linenos.append(lineno)
     array = np.array(rows, dtype=float)
-    found = _row_fault(array, nonneg, positive=False)
+    found = _row_fault(array, nonneg, positive) if rows else None
     if found is not None:
         raise ValueError(f"{path}:{linenos[found[0]]}: {found[1]}")
     if shape_error is not None:
         lineno, message, values = shape_error
-        found = None if values is None else _row_fault(np.array(values), nonneg, positive=False)
+        found = None if values is None else _row_fault(np.array(values), nonneg, positive)
         raise ValueError(f"{path}:{lineno}: {message if found is None else found[1]}")
     if not rows:
         raise ValueError(f"{path}: no vectors found")
@@ -244,11 +238,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):
     """The CSV's rows as one array, with one dispersion_report call over them all."""
-    rows = _read_rows(args.input)
-    try:
-        return dispersion_report(rows, args.p, eps, tol=tol)
-    except ValueError as exc:
-        raise ValueError(f"{args.input}: {exc}")
+    rows = _read_rows(args.input, positive=True)
+    return dispersion_report(rows, args.p, eps, tol=tol)
 
 
 def _cmd_check(args) -> tuple[dict, int]:
@@ -397,13 +388,10 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("FAIRCTL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"FAIRCTL_SEED must be an integer, got {env!r}")
-    return VerifyConfig.seed
+    try:
+        return _seed(os.environ.get("FAIRCTL_SEED", str(VerifyConfig.seed)))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"FAIRCTL_SEED: {exc}")
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
@@ -442,13 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     epsilon = _flag(check_epsilon)
     exponent = _flag(check_exponent)
+    tolerance = _flag(check_tolerance)
+    cap = _flag(check_iterations)
 
     check = sub.add_parser("check", help="membership and thresholds for vectors in a CSV file")
     check.add_argument("--input", required=True, help="CSV file, one vector per line")
     check.add_argument("--eps", type=epsilon, required=True, help="fairness level in [0, 1]")
     check.add_argument("--p", type=_exponents, required=True, help="comma-separated exponents, each >= 2 or 'inf'")
     check.add_argument(
-        "--tol", type=_positive(float), default=MEMBERSHIP_TOL, help="relative membership tolerance"
+        "--tol", type=tolerance, default=MEMBERSHIP_TOL, help="relative membership tolerance"
     )
     check.add_argument("--out", default=None, help="write the JSON report to a file")
 
@@ -461,16 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     project.add_argument("--input", required=True)
     project.add_argument("--eps", type=epsilon, required=True)
     project.add_argument("--p", type=exponent, required=True, help="a single exponent >= 2 or 'inf'")
-    project.add_argument("--tol", type=_positive(float), default=1e-8)
-    project.add_argument("--max-iter", type=_positive(int), default=5000)
+    project.add_argument("--tol", type=tolerance, default=CONVERGENCE_TOL)
+    project.add_argument("--max-iter", type=cap, default=PROJECTION_MAX_ITER)
     project.add_argument("--out", default=None)
 
     solve_cmd = sub.add_parser("solve", help="maximize a linear objective over the fair region")
     solve_cmd.add_argument("--objective", required=True, help="CSV file with one coefficient row")
     solve_cmd.add_argument("--eps", type=epsilon, required=True)
     solve_cmd.add_argument("--p", type=exponent, required=True)
-    solve_cmd.add_argument("--tol", type=_positive(float), default=1e-8)
-    solve_cmd.add_argument("--max-iter", type=_positive(int), default=20000)
+    solve_cmd.add_argument("--tol", type=tolerance, default=CONVERGENCE_TOL)
+    solve_cmd.add_argument("--max-iter", type=cap, default=SOLVE_MAX_ITER)
     solve_cmd.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="trace the efficiency-vs-fairness frontier over epsilon")
@@ -481,16 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the sampling-based theorem suites")
-    verify.add_argument("--suite", type=_suites, default="all", help="'all' or comma-separated suite names")
-    verify.add_argument("--samples", type=int, default=VerifyConfig.samples)
+    suites = _config_field("suites", _suites)
+    verify.add_argument("--suite", type=suites, default="all", help="'all' or comma-separated suite names")
+    verify.add_argument("--samples", type=_config_field("samples", int), default=VerifyConfig.samples)
     verify.add_argument(
-        "--seed", type=int, default=None, help=f"defaults to FAIRCTL_SEED or {VerifyConfig.seed}"
+        "--seed", type=_seed, default=None, help=f"defaults to FAIRCTL_SEED or {VerifyConfig.seed}"
     )
-    verify.add_argument("--n-values", type=_ints, default=DEFAULT_N_VALUES, help="comma-separated dimensions")
+    dimensions = _config_field("n_values", _ints)
+    verify.add_argument("--n-values", type=dimensions, default=DEFAULT_N_VALUES, help="comma-separated dimensions")
     verify.add_argument(
         "--p-chain", type=_exponents, default=DEFAULT_P_CHAIN, help="comma-separated exponent chain"
     )
-    verify.add_argument("--tol", type=_positive(float), default=VerifyConfig.tol)
+    verify.add_argument("--tol", type=tolerance, default=VerifyConfig.tol)
     verify.add_argument("--out", default=None)
 
     return parser

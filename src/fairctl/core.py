@@ -20,6 +20,9 @@ INFINITY = math.inf
 #: Absolute tolerance on |sum(x) - 1| for simplex membership at construction.
 SIMPLEX_SUM_TOL = 1e-12
 
+#: Default convergence tolerance of the fair-region projection and the solver.
+CONVERGENCE_TOL = 1e-8
+
 
 def check_exponent(p: float, minimum: float = 2.0) -> float:
     """Validate a norm exponent: a finite real >= ``minimum``, or infinity."""
@@ -27,6 +30,22 @@ def check_exponent(p: float, minimum: float = 2.0) -> float:
     if math.isnan(p) or p < minimum:
         raise ValueError(f"exponent must be >= {minimum} or infinity, got {p!r}")
     return p
+
+
+def check_tolerance(tol: float) -> float:
+    """Validate a convergence tolerance: a finite real > 0."""
+    tol = float(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite real > 0, got {tol!r}")
+    return tol
+
+
+def check_iterations(cap: int) -> int:
+    """Validate an iteration cap: an integer >= 1, or the decimal text of one."""
+    text = str(cap).strip()
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ValueError(f"iteration cap must be an integer >= 1, got {cap!r}")
+    return int(text)
 
 
 def _row_fault(rows: np.ndarray, nonneg: bool = True, positive: bool = True) -> tuple[int, str] | None:

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CONVERGENCE_TOL,
     INFINITY,
     NonNegVector,
     SimplexVector,
     _as_vector,
     _pnorm_rows,
+    check_iterations,
+    check_tolerance,
 )
 from .fairness import FairnessSpec, cone_constraint
 
@@ -36,6 +39,8 @@ class ProjectionResult:
     residual: float
 
 
+#: Default cap on evaluations of x per fair-region projection.
+PROJECTION_MAX_ITER = 5000
 #: Cap on safeguarded Newton steps per coordinate root.
 _MAX_INNER = 100
 #: Relative gap to the ball within which the fair-region projection meets it;
@@ -222,8 +227,8 @@ def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float,
 def project_fair_region(
     y,
     spec: FairnessSpec,
-    tol: float = 1e-8,
-    max_iter: int = 5000,
+    tol: float = CONVERGENCE_TOL,
+    max_iter: int = PROJECTION_MAX_ITER,
 ) -> ProjectionResult:
     """Euclidean projection onto Delta_n intersected with the fair lp ball.
 
@@ -239,8 +244,8 @@ def project_fair_region(
     certifies optimality, and a residual above tol is the failure signal.
     """
     arr = _as_vector(y)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    tol = check_tolerance(tol)
+    max_iter = check_iterations(max_iter)
     n = arr.size
 
     if spec.epsilon == 1.0:

@@ -26,12 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INFINITY, SimplexVector, _as_vector, _pnorm_rows
+from .core import CONVERGENCE_TOL, INFINITY, SimplexVector, _as_vector, _pnorm_rows, check_iterations, check_tolerance
 from .fairness import FairnessSpec, check_epsilon, coefficient_of_variation, cone_constraint, cv_bound, eps_max
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
 from .geometry import _capped_point, _sphere_point, project_fair_region
+
+#: Default cap on evaluations of x(mu) per solve.
+SOLVE_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -76,26 +79,23 @@ class ParetoPoint:
     converged: bool
 
 
-def _kkt_root(c: np.ndarray, p: float, radius: float, tol: float, max_evals: int):
+def _kkt_root(c: np.ndarray, top: float, ties: np.ndarray, k: int, p: float, radius: float, tol: float, max_evals: int):
     """Finite p: the mix of two points x(mu) on the ball that bracket the root of sum x(mu) = 1.
 
     Each end of the bracket keeps (mu, x(mu), sum - 1, g(mu)). The upper end
-    starts at mu = max c, where x(mu) is the uniform point on the ties scaled
-    onto the ball, and the lower end at mu = -infinity, where it is e/n scaled
-    onto the ball. Trials step down from max c, doubling, until the lower end
-    is finite; then Illinois secant steps run, with bisection when one leaves
-    the bracket. Each iteration mixes the two ends into the point that sums
-    to 1. The search stops once that point's duality gap against the smaller
-    g is at most tol / 100 of max(1, max |c|), once the bracket reaches
-    adjacent floats, or after max_evals evaluations. Returns the point, that
-    g and the evaluation count.
+    starts at mu = top = max c, where x(mu) is the uniform point on the k ties
+    (the mask _maximize found) scaled onto the ball, and the lower end at
+    mu = -infinity, where it is e/n scaled onto the ball. Trials step down
+    from max c, doubling, until the lower end is finite; then Illinois secant
+    steps run, with bisection when one leaves the bracket. Each iteration
+    mixes the two ends into the point that sums to 1. The search stops once
+    that point's duality gap against the smaller g is at most tol / 100 of
+    max(1, max |c|), once the bracket reaches adjacent floats, or after
+    max_evals evaluations. Returns the point, that g and the evaluation count.
     """
     n = c.size
     power = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
-    top = float(c.max())
-    ties = c == top
-    k = int(np.count_nonzero(ties))
     # the sums _maximize tested, r k^(1 - 1/p) < 1 < r n^(1 - 1/p), so the mix never divides by zero
     high = (top, ties * (radius * k ** (-1.0 / p)), radius * k ** (1.0 - 1.0 / p) - 1.0, top)
     low = (-math.inf, np.full(n, radius * n ** (-1.0 / p)), radius * n ** (1.0 - 1.0 / p) - 1.0, math.inf)
@@ -161,7 +161,7 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
         mu = float(c[x > 0.0].min())
         dual = mu + radius * float(np.maximum(c - mu, 0.0).sum())
     else:
-        x, dual, evals = _kkt_root(c, spec.p, radius, tol, max_evals)
+        x, dual, evals = _kkt_root(c, top, ties, k, spec.p, radius, tol, max_evals)
     gap = dual - float(c @ x)
     return x, gap, gap <= tol * max(1.0, float(np.abs(c).max())), evals
 
@@ -169,8 +169,8 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
 def solve(
     obj: ObjectiveSpec,
     spec: FairnessSpec,
-    tol: float = 1e-8,
-    max_iter: int = 20000,
+    tol: float = CONVERGENCE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
 ) -> SolveResult:
     """Maximize obj over the fair region by its optimality conditions.
 
@@ -179,6 +179,8 @@ def solve(
     The search on mu at 2 < p < infinity stops on that gap, at a hundredth of
     the bound, so it converges at every eps up to 1 unless max_iter cuts it.
     """
+    tol = check_tolerance(tol)
+    max_iter = check_iterations(max_iter)
     c = obj.coefficients
     x, gap, converged, iterations = _maximize(c, spec, tol, max_iter)
     point = SimplexVector(x)

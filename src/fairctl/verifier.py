@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     check_exponent,
+    check_tolerance,
     dispersion_constant,
     _pnorm_rows,
     _power_sum_rows,
@@ -49,7 +50,7 @@ def _p_token(p: float):
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """What to verify: suites, sample count, dimensions, exponent chain, seed."""
+    """What to verify: suites, samples, dimensions, exponent chain, seed, tolerance; each judged here alone."""
 
     suites: tuple[str, ...] = field(default_factory=lambda: SUITE_NAMES)
     samples: int = 10000
@@ -70,13 +71,14 @@ class VerifyConfig:
             raise ValueError("at least one dimension is required")
         if any(n < 2 for n in self.n_values):
             raise ValueError("all dimensions must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "suites", tuple(self.suites))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(
             self, "p_values", tuple(sorted(check_exponent(p) for p in self.p_values))
         )
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
+        object.__setattr__(self, "tol", check_tolerance(self.tol))
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,7 @@ class TestCheck:
             ("1,2,3\n1,-2,3\n1,oops,3\n", 2, "nonnegative"),
             ("1,2,3\n1,2,3\n1,nan\n", 3, "finite"),
             ("1,2,3\n1,oops,3\n1,-2,3\n", 2, "malformed"),
+            ("1,2,3\n0,0,0\n1,-2,3\n", 2, "zero vector"),
         ],
     )
     def test_first_bad_line_is_named(self, capsys, tmp_path, text, line, message):
@@ -131,12 +132,12 @@ class TestEpsmax:
 
 class TestBatchedRows:
     @pytest.mark.parametrize("command", [["check", "--eps", "0.5"], ["epsmax"]])
-    def test_zero_row_names_its_index(self, capsys, tmp_path, command):
+    def test_zero_row_names_its_line(self, capsys, tmp_path, command):
         path = write(tmp_path / "z.csv", "1,2,3\n# comment\n0,0,0\n4,5,6\n")
         code, out, err = run(capsys, *command, "--p", "2", "--input", path)
         assert code == 2
         assert out == ""
-        assert "vector 1" in err
+        assert "z.csv:3: the zero vector is not accepted" in err
 
     def test_reports_equal_the_scalar_functions_bit_for_bit(self, capsys, tmp_path):
         rng = np.random.default_rng(2024)
@@ -237,6 +238,11 @@ class TestFlagValidation:
             ("sweep", "--p", "2", "--eps-grid", "0:2:0.5"),
             ("verify", "--n-values", "1,x"),
             ("verify", "--p-chain", "nan"),
+            ("verify", "--samples", "0"),
+            ("verify", "--n-values", "1"),
+            ("verify", "--suite", "bogus"),
+            ("verify", "--suite", ","),
+            ("verify", "--seed", "-1"),
         ],
     )
     def test_bad_numeric_flag_names_the_flag(self, capsys, tmp_path, argv):
@@ -247,6 +253,36 @@ class TestFlagValidation:
         assert code == 2
         assert out == ""
         assert f"argument {argv[-2]}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["project", "solve"])
+    def test_valid_tolerance_and_cap_are_used_and_echoed(self, capsys, tmp_path, command):
+        path = write(tmp_path / "v.csv", "3,2,1\n")
+        source = "--objective" if command == "solve" else "--input"
+        code, doc = run_json(
+            capsys, command, "--eps", "0.5", "--p", "4", source, path, "--tol", "1e-6", "--max-iter", "50"
+        )
+        assert code == 0
+        assert doc["inputs"]["tol"] == 1e-6
+        assert doc["inputs"]["max_iter"] == 50
+
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            (None, ("check", "--eps", "0.5", "--p", "2"), "cannot read"),
+            ("# only a comment\n", ("check", "--eps", "0.5", "--p", "2"), "no vectors found"),
+            ("5\n", ("check", "--eps", "0.5", "--p", "2"), "vectors need at least 2 entries"),
+            ("3,2,1\n", ("sweep", "--p", "2", "--eps-grid", "0:1:0.00001"), "more than 10000 points"),
+        ],
+    )
+    def test_input_errors_name_their_file_or_flag(self, capsys, tmp_path, text, argv, message):
+        path = str(tmp_path / "in.csv") if text is None else write(tmp_path / "in.csv", text)
+        source = "--objective" if argv[0] == "sweep" else "--input"
+        code, out, err = run(capsys, *argv, source, path)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert ("argument --eps-grid" if argv[0] == "sweep" else "in.csv") in err
         assert "Traceback" not in err
 
 
@@ -457,6 +493,14 @@ class TestVerify:
         assert any(s["checked"] == 0 for s in suites)
         assert all(s["passed"] == (s["checked"] > 0 and s["failures"] == 0) for s in suites)
         assert doc["results"]["all_passed"] is False
+
+    def test_negative_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FAIRCTL_SEED", "-1")
+        code, out, err = run(capsys, "verify", "--suite", "corner", "--samples", "50")
+        assert code == 2
+        assert out == ""
+        assert "FAIRCTL_SEED: seed must be >= 0" in err
+        assert "Traceback" not in err
 
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("FAIRCTL_SEED", "not-a-number")

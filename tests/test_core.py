@@ -17,6 +17,8 @@ from fairctl import (
     shannon_entropy,
 )
 
+from fairctl.core import check_iterations, check_tolerance
+
 import oracles
 
 
@@ -136,6 +138,24 @@ class TestPNorm:
         lower = 1.0 / (dispersion_constant(x.n, p) + 1.0)
         assert t > lower + 1e-12
         assert t < 1.0 - 1e-12
+
+
+# ------------------------------------------------ tolerances and caps
+
+
+class TestParameterChecks:
+    def test_tolerance_is_a_finite_real_above_zero(self):
+        assert check_tolerance("1e-6") == 1e-6
+        for bad in (0.0, -1.0, math.nan, math.inf, "abc"):
+            with pytest.raises(ValueError):
+                check_tolerance(bad)
+
+    def test_iteration_cap_is_an_integer_of_at_least_one(self):
+        assert check_iterations(" 50 ") == 50
+        assert check_iterations(np.int64(7)) == 7
+        for bad in (0, -3, 2.5, "1e3", "nan", True):
+            with pytest.raises(ValueError):
+                check_iterations(bad)
 
 
 # --------------------------------------------------- dispersion constant

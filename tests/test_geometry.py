@@ -82,6 +82,14 @@ class TestProjectSimplex:
 
 
 class TestProjectFairRegion:
+    @pytest.mark.parametrize(
+        "bad", [{"tol": -1.0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}]
+    )
+    def test_bad_tolerance_or_cap_raises(self, bad):
+        # a tolerance <= 0 or nan could never be met, and inf would call any point converged
+        with pytest.raises(ValueError):
+            project_fair_region([3.0, 1.0, 0.5], FairnessSpec(0.5, 4.0), **bad)
+
     def test_feasible_point_is_fixed_in_one_iteration(self):
         y = [0.3, 0.3, 0.4]
         for p in (2.0, 4.0, INFINITY):

@@ -35,6 +35,12 @@ class TestObjectiveSpec:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("bad", [{"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}])
+    def test_bad_tolerance_or_cap_raises(self, bad):
+        # tol = inf would stop at once and call a point with a gap of 0.55 converged
+        with pytest.raises(ValueError):
+            solve(C321, FairnessSpec(0.5, 4.0), **bad)
+
     def test_eps_one_returns_mean(self):
         for p in (2, 5, INFINITY):
             res = solve(C321, FairnessSpec(1.0, p))

@@ -12,6 +12,7 @@ from fairctl import (
     p_norm,
     run_suite,
 )
+from fairctl import verifier
 from fairctl.verifier import _sample_rows
 
 
@@ -62,6 +63,12 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(n_values=(1, 2))
 
+    @pytest.mark.parametrize("bad", [{"tol": math.inf}, {"tol": 0.0}, {"seed": -1}])
+    def test_rejects_bad_tolerance_and_seed(self, bad):
+        # tol = inf would pass every identity check whatever its gap
+        with pytest.raises(ValueError):
+            VerifyConfig(**bad)
+
     def test_p_values_sorted_with_infinity_last(self):
         cfg = VerifyConfig(p_values=(math.inf, 3, 2))
         assert cfg.p_values == (2.0, 3.0, math.inf)
@@ -106,6 +113,23 @@ class TestRunSuite:
         assert 1 <= len(suite.counterexamples) <= 10
         example = suite.counterexamples[0]
         assert {"n", "p", "vector", "margin"} <= set(example)
+
+    @pytest.mark.parametrize(
+        "suite, constant, value, keys",
+        [
+            ("inclusion", "NONSTRICT_SLACK", -2.0, {"n", "p_pair", "epsilon", "vector", "margin"}),
+            ("corner", "STRICT_MARGIN", 1e9, {"n", "p", "vertex", "epsilon", "margin"}),
+            ("eps-nesting", "NONSTRICT_SLACK", -2.0, {"n", "p", "eps_pair", "vector", "margin"}),
+        ],
+    )
+    def test_counterexamples_name_what_failed(self, monkeypatch, suite, constant, value, keys):
+        # a threshold above every margin it judges (below 1, or at most n - 1 for corner) fails them all
+        monkeypatch.setattr(verifier, constant, value)
+        result = run_suite(VerifyConfig(suites=(suite,), samples=20, seed=3)).suites[0]
+        assert result.failures > verifier.COUNTEREXAMPLE_CAP
+        assert len(result.counterexamples) == verifier.COUNTEREXAMPLE_CAP
+        for example in result.counterexamples:
+            assert set(example) == keys
 
     def test_seed_echoed_in_report(self):
         report = run_suite(SMALL)
