@@ -58,14 +58,18 @@ def _exponents(text: str) -> list[float]:
     return ps
 
 
+def _tokens(text: str) -> tuple[str, ...]:
+    return tuple(token.strip() for token in text.split(",") if token.strip())
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(token) for token in text.split(",") if token.strip())
+    return tuple(int(token) for token in _tokens(text))
 
 
 def _suites(text: str) -> tuple[str, ...]:
     if text.strip().lower() == "all":
         return SUITE_NAMES
-    return tuple(token.strip() for token in text.split(",") if token.strip())
+    return _tokens(text)
 
 
 def _config_field(name: str, parse):
@@ -480,7 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     dimensions = _config_field("n_values", _ints)
     verify.add_argument("--n-values", type=dimensions, default=DEFAULT_N_VALUES, help="comma-separated dimensions")
     verify.add_argument(
-        "--p-chain", type=_exponents, default=DEFAULT_P_CHAIN, help="comma-separated exponent chain"
+        "--p-chain",
+        type=_config_field("p_values", _tokens),
+        default=DEFAULT_P_CHAIN,
+        help="comma-separated distinct exponents",
     )
     verify.add_argument("--tol", type=tolerance, default=VerifyConfig.tol)
     verify.add_argument("--out", default=None)

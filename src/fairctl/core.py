@@ -153,6 +153,54 @@ class WeightVector(SimplexVector):
             raise ValueError("weights must lie in [0, 1]")
 
 
+#: Longest row that the row kernels reduce column by column. numpy reduces
+#: slowly along a short last axis; an elementwise ufunc over the columns of
+#: thousands of rows is many times faster. A 1-D vector, or a longer row, is
+#: one numpy reduction, as fast as it gets.
+COLUMN_ROW_LIMIT = 128
+
+
+def _row_max(rows: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """rows.max(axis=-1); a max is exact, so the column order gives the same bits."""
+    if rows.ndim == 1 or not 0 < rows.shape[-1] <= COLUMN_ROW_LIMIT:
+        # axis, dtype, out, keepdims by position: the solver's and geometry's
+        # root loops call this on vectors, where keyword parsing shows
+        return np.maximum.reduce(rows, -1, None, None, keepdims)
+    peak = rows[..., 0].copy()
+    for j in range(1, rows.shape[-1]):
+        np.maximum(peak, rows[..., j], out=peak)
+    return peak[..., None] if keepdims else peak
+
+
+def _row_sum(rows: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """The sum along the last axis, bit for bit numpy's sum of each row laid out contiguously.
+
+    numpy adds a contiguous row of n <= 128 entries to 0.0 pairwise: in
+    order for n < 8; else in eight accumulators over the whole blocks of
+    eight, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail
+    in order. The columns are added here in that order. numpy itself adds
+    the rows of a column-major block in plain order, so longer rows are
+    summed from a contiguous copy.
+    """
+    if rows.ndim == 1:
+        return np.add.reduce(rows, -1, None, None, keepdims)  # by position, as in _row_max
+    n = rows.shape[-1]
+    if not 0 < n <= COLUMN_ROW_LIMIT:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=-1, keepdims=keepdims)
+    columns = [rows[..., j] for j in range(n)]
+    if n >= 8:
+        whole = n - n % 8
+        r = columns[:8]
+        for start in range(8, whole, 8):
+            r = [a + b for a, b in zip(r, columns[start : start + 8])]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        columns = [head] + columns[whole:]
+    total = np.zeros(rows.shape[:-1])
+    for column in columns:
+        total += column
+    return total[..., None] if keepdims else total
+
+
 def _pnorm_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """lp norm along the last axis, max-factored for large-p stability.
 
@@ -161,12 +209,12 @@ def _pnorm_rows(rows: np.ndarray, p: float) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=float)
     if p == INFINITY:
-        return rows.max(axis=-1)
+        return _row_max(rows)
     if p == 1.0:
-        return rows.sum(axis=-1)
-    peak = rows.max(axis=-1, keepdims=True)
+        return _row_sum(rows)
+    peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
     ratios = rows / peak
-    total = np.power(ratios, p).sum(axis=-1)
+    total = _row_sum(np.power(ratios, p))
     return peak[..., 0] * np.power(total, 1.0 / p)
 
 
@@ -204,9 +252,9 @@ def _power_sum_rows(rows: np.ndarray, p: float):
     x_i = 0 contribute 0 to the derivative (0 * ln 0 = 0).
     """
     powered = rows**p
-    value = powered.sum(axis=-1, keepdims=True)
+    value = _row_sum(powered, keepdims=True)
     safe = np.where(rows > 0, rows, 1.0)
-    derivative = (powered * np.log(safe)).sum(axis=-1)
+    derivative = _row_sum(powered * np.log(safe))
     return value[..., 0], derivative, powered / value
 
 
@@ -226,7 +274,7 @@ def power_sum(x: SimplexVector, p: float) -> PowerSum:
 def _shannon_rows(w: np.ndarray) -> np.ndarray:
     """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention."""
     safe = np.where(w > 0, w, 1.0)
-    return -(w * np.log(safe)).sum(axis=-1)
+    return -_row_sum(w * np.log(safe))
 
 
 def shannon_entropy(w: WeightVector) -> float:

@@ -15,6 +15,7 @@ tolerance (default 1e-9).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from .core import (
     dispersion_constant,
     _pnorm_rows,
     _power_sum_rows,
+    _row_max,
+    _row_sum,
     _shannon_rows,
 )
 from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows
@@ -65,19 +68,29 @@ class VerifyConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown} (known: {list(SUITE_NAMES)})")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not self.n_values:
             raise ValueError("at least one dimension is required")
+        counts = [("samples", self.samples), ("seed", self.seed)]
+        for name, value in counts + [("dimension", n) for n in self.n_values]:
+            # a bool is an int to Python, and a float count fails in numpy or truncates
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
         if any(n < 2 for n in self.n_values):
             raise ValueError("all dimensions must be >= 2")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        p_values = sorted(check_exponent(p) for p in self.p_values)
+        if not p_values:
+            raise ValueError("at least one exponent is required")
+        if any(a == b for a, b in zip(p_values, p_values[1:])):
+            raise ValueError(f"exponents must be distinct, got {p_values!r}")
         object.__setattr__(self, "suites", tuple(self.suites))
+        object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(
-            self, "p_values", tuple(sorted(check_exponent(p) for p in self.p_values))
-        )
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "p_values", tuple(p_values))
         object.__setattr__(self, "tol", check_tolerance(self.tol))
 
 
@@ -149,18 +162,19 @@ def _sample_rows(
 ) -> np.ndarray:
     """Flat-Dirichlet rows: unit-exponential draws normalized by their sum.
 
+    The block is column-major, so the row kernels read contiguous columns.
     With exclude_special, rows within EXCLUSION_RADIUS (max norm) of any
     vertex e_i or of e/n are rejected and redrawn.
     """
-    rows = np.empty((count, n))
+    rows = np.empty((count, n), order="F")
     filled = 0
     while filled < count:
         draw = rng.standard_exponential((count - filled, n))
-        batch = draw / draw.sum(axis=1, keepdims=True)
+        batch = draw / _row_sum(draw, keepdims=True)
         if exclude_special:
             # a row is within eps of some e_i exactly when its max >= 1 - eps
-            keep = (1.0 - batch.max(axis=1) > EXCLUSION_RADIUS) & (
-                np.abs(batch - 1.0 / n).max(axis=1) > EXCLUSION_RADIUS
+            keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (
+                _row_max(np.abs(batch - 1.0 / n)) > EXCLUSION_RADIUS
             )
             batch = batch[keep]
         rows[filled : filled + batch.shape[0]] = batch

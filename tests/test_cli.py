@@ -243,6 +243,8 @@ class TestFlagValidation:
             ("verify", "--suite", "bogus"),
             ("verify", "--suite", ","),
             ("verify", "--seed", "-1"),
+            ("verify", "--p-chain", "2,2,inf"),
+            ("verify", "--p-chain", ","),
         ],
     )
     def test_bad_numeric_flag_names_the_flag(self, capsys, tmp_path, argv):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairctl import (
@@ -17,7 +17,7 @@ from fairctl import (
     shannon_entropy,
 )
 
-from fairctl.core import check_iterations, check_tolerance
+from fairctl.core import _row_max, _row_sum, check_iterations, check_tolerance
 
 import oracles
 
@@ -138,6 +138,73 @@ class TestPNorm:
         lower = 1.0 / (dispersion_constant(x.n, p) + 1.0)
         assert t > lower + 1e-12
         assert t < 1.0 - 1e-12
+
+
+# ------------------------------------------------------- row kernels
+
+
+def kernel_rows(seed: int, rows: int | None, n: int, profile: str, order: str) -> np.ndarray:
+    """rows x n values of one profile (a 1-D vector when rows is None), laid out in order."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows is None else (rows, n)
+    values = rng.standard_exponential(shape)
+    if profile == "nine decades":
+        values = 10.0 ** rng.uniform(-9.0, 0.0, shape)
+    elif profile == "zeros":
+        values[rng.random(shape) < 0.3] = 0.0
+    elif profile == "signed zeros":
+        values[rng.random(shape) < 0.5] = -0.0
+    return np.asarray(values, order=order)
+
+
+class TestRowKernels:
+    """The column kernels give numpy's own bits: the verify sha256 pins depend on it."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.none(), st.integers(1, 40)),
+        st.integers(2, 130),
+        st.sampled_from(["exponential", "nine decades", "zeros", "signed zeros"]),
+        st.sampled_from(["C", "F"]),
+    )
+    @example(0, 20, 7, "exponential", "F")
+    @example(0, 20, 8, "exponential", "F")
+    @example(0, 20, 9, "nine decades", "F")
+    @example(0, 20, 128, "nine decades", "F")
+    @example(0, 20, 129, "exponential", "F")
+    @example(0, 20, 130, "zeros", "C")
+    def test_bit_equal_to_numpy(self, seed, rows, n, profile, order):
+        x = kernel_rows(seed, rows, n, profile, order)
+        # numpy adds the rows of a column-major block in plain order, not
+        # pairwise; its pairwise sum is that of each row laid out contiguously
+        expected = np.ascontiguousarray(x).sum(axis=-1, keepdims=True)
+        total = _row_sum(x, keepdims=True)
+        assert np.array_equal(total, expected)
+        assert np.array_equal(np.signbit(total), np.signbit(expected))
+        assert np.array_equal(_row_sum(x), expected[..., 0])
+        assert np.array_equal(_row_max(x, keepdims=True), x.max(axis=-1, keepdims=True))
+        assert np.array_equal(_row_max(x), x.max(axis=-1))
+
+    def test_every_width_from_2_to_130(self):
+        for n in range(2, 131):
+            for order in ("C", "F"):
+                x = kernel_rows(n, 50, n, "nine decades", order)
+                assert np.array_equal(_row_sum(x), np.ascontiguousarray(x).sum(axis=-1)), (n, order)
+                assert np.array_equal(_row_max(x), x.max(axis=-1)), (n, order)
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 16, 129])
+    def test_rows_of_negative_zeros_sum_to_positive_zero(self, n):
+        x = np.full((3, n), -0.0, order="F")
+        assert not np.signbit(_row_sum(x)).any()
+        assert not np.signbit(np.ascontiguousarray(x).sum(axis=-1)).any()
+
+    def test_inputs_are_not_modified(self):
+        x = kernel_rows(1, 30, 20, "exponential", "F")
+        before = x.copy()
+        _row_sum(x)
+        _row_max(x)
+        assert np.array_equal(x, before)
 
 
 # ------------------------------------------------ tolerances and caps

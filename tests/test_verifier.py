@@ -69,6 +69,38 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"samples": 2.5},
+            {"samples": 100.0},
+            {"samples": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"n_values": (3.7,)},
+            {"n_values": (3, 4.0)},
+            {"n_values": (True, 3)},
+        ],
+    )
+    def test_rejects_non_integer_counts(self, bad):
+        # 2.5 samples or seed 1.5 used to fail inside numpy; n = 3.7 ran as n = 3
+        with pytest.raises(ValueError, match="integer"):
+            VerifyConfig(**bad)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = VerifyConfig(samples=np.int64(5), n_values=(np.int32(3),), seed=np.uint16(9))
+        assert (cfg.samples, cfg.n_values, cfg.seed) == (5, (3,), 9)
+        assert all(type(v) is int for v in (cfg.samples, cfg.seed, *cfg.n_values))
+
+    @pytest.mark.parametrize(
+        "p_values, message",
+        [((), "at least one exponent"), ((2, 2.0, math.inf), "distinct"), ((math.inf, 3, math.inf), "distinct")],
+    )
+    def test_rejects_empty_or_repeated_exponents(self, p_values, message):
+        # equal exponents make "strictly decreasing" false and an empty chain checks nothing
+        with pytest.raises(ValueError, match=message):
+            VerifyConfig(p_values=p_values)
+
     def test_p_values_sorted_with_infinity_last(self):
         cfg = VerifyConfig(p_values=(math.inf, 3, 2))
         assert cfg.p_values == (2.0, 3.0, math.inf)
