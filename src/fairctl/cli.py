@@ -304,15 +304,14 @@ def _cmd_project(args) -> tuple[dict, int]:
     all_converged = True
     for index, row in enumerate(rows):
         res = project_fair_region(row, spec, tol=args.tol, max_iter=args.max_iter)
-        converged = res.residual <= args.tol
-        all_converged = all_converged and converged
+        all_converged = all_converged and res.converged
         results.append(
             {
                 "index": index,
                 "point": res.point.values.tolist(),
                 "iterations": res.iterations,
                 "residual": res.residual,
-                "converged": converged,
+                "converged": res.converged,
             }
         )
     doc = _document(
@@ -399,30 +398,16 @@ def _resolve_seed(args) -> int:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    seed = _resolve_seed(args)
     cfg = VerifyConfig(
         suites=args.suite,
         samples=args.samples,
         n_values=args.n_values,
         p_values=args.p_chain,
-        seed=seed,
+        seed=_resolve_seed(args),
         tol=args.tol,
     )
     report = run_suite(cfg)
-    body = report.to_dict()
-    doc = _document(
-        "verify",
-        {
-            "suite": list(cfg.suites),
-            "samples": cfg.samples,
-            "n_values": list(cfg.n_values),
-            "p_values": [_p_token(p) for p in cfg.p_values],
-            "tol": cfg.tol,
-        },
-        {"suites": body["suites"], "all_passed": body["all_passed"]},
-        seed=seed,
-    )
-    return doc, 0 if report.all_passed else 1
+    return _document("verify", **report.to_dict()), 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,6 +37,8 @@ class ProjectionResult:
     point: NonNegVector
     iterations: int
     residual: float
+    #: the residual is at most the tolerance the projection was asked for
+    converged: bool
 
 
 #: Default cap on evaluations of x per fair-region projection.
@@ -250,7 +252,7 @@ def project_fair_region(
 
     if spec.epsilon == 1.0:
         # the feasible set is the single point e/n
-        return ProjectionResult(point=SimplexVector.uniform(n), iterations=1, residual=0.0)
+        return ProjectionResult(point=SimplexVector.uniform(n), iterations=1, residual=0.0, converged=True)
 
     p = spec.p
     radius = cone_constraint(n, spec).radius
@@ -272,4 +274,6 @@ def project_fair_region(
         -float(point.min()),
         float(_pnorm_rows(point, p)) / radius - 1.0,
     )
-    return ProjectionResult(point=SimplexVector(point), iterations=1 + evals, residual=residual)
+    return ProjectionResult(
+        point=SimplexVector(point), iterations=1 + evals, residual=residual, converged=residual <= tol
+    )

@@ -68,6 +68,8 @@ class VerifyConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown} (known: {list(SUITE_NAMES)})")
+        # each suite runs once, in canonical order, and is echoed as it runs
+        object.__setattr__(self, "suites", tuple(s for s in SUITE_NAMES if s in self.suites))
         if not self.n_values:
             raise ValueError("at least one dimension is required")
         counts = [("samples", self.samples), ("seed", self.seed)]
@@ -86,7 +88,6 @@ class VerifyConfig:
             raise ValueError("at least one exponent is required")
         if any(a == b for a, b in zip(p_values, p_values[1:])):
             raise ValueError(f"exponents must be distinct, got {p_values!r}")
-        object.__setattr__(self, "suites", tuple(self.suites))
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "seed", int(self.seed))
@@ -122,13 +123,9 @@ class SuiteResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-suite results plus the exact sampling configuration that produced them."""
+    """Per-suite results plus the configuration that produced them."""
 
-    seed: int
-    samples: int
-    n_values: tuple[int, ...]
-    p_values: tuple[float, ...]
-    tol: float
+    config: VerifyConfig
     suites: tuple[SuiteResult, ...]
 
     @property
@@ -136,22 +133,24 @@ class VerificationReport:
         return all(s.passed for s in self.suites)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "n_values": list(self.n_values),
-            "p_values": [_p_token(p) for p in self.p_values],
-            "tol": self.tol,
-            "suites": [s.to_dict() for s in self.suites],
-            "all_passed": self.all_passed,
+        """The run as its inputs (the configuration but the seed), its results and its seed."""
+        cfg = self.config
+        inputs = {
+            "suite": list(cfg.suites),
+            "samples": cfg.samples,
+            "n_values": list(cfg.n_values),
+            "p_values": [_p_token(p) for p in cfg.p_values],
+            "tol": cfg.tol,
         }
+        results = {"suites": [s.to_dict() for s in self.suites], "all_passed": self.all_passed}
+        return {"inputs": inputs, "results": results, "seed": cfg.seed}
 
 
 def _generator(seed: int, suite: str, n: int) -> np.random.Generator:
     """Independent substream for one (suite, dimension) block of work.
 
-    The report is a merge of these blocks, so it does not depend on how the
-    blocks are scheduled across workers.
+    No suite draws from another's substreams, so a run of any subset of the
+    suites reproduces each of them as the full run reports it.
     """
     key = (SUITE_NAMES.index(suite), int(n))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
@@ -182,47 +181,6 @@ def _sample_rows(
     return rows
 
 
-class _Recorder:
-    """Accumulates margins, failures, and capped counterexamples for one suite."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.failures = 0
-        self.worst: float | None = None
-        self.examples: list[dict] = []
-
-    def add(self, margins, threshold: float, strict: bool, example=None) -> None:
-        margins = np.asarray(margins, dtype=float).ravel()
-        if margins.size == 0:
-            return
-        self.checked += margins.size
-        low = float(margins.min())
-        if self.worst is None or low < self.worst:
-            self.worst = low
-        bad = margins <= threshold if strict else margins < threshold
-        count = int(bad.sum())
-        if count == 0:
-            return
-        self.failures += count
-        if example is not None:
-            for i in np.nonzero(bad)[0]:
-                if len(self.examples) >= COUNTEREXAMPLE_CAP:
-                    break
-                info = example(int(i))
-                info["margin"] = float(margins[i])
-                self.examples.append(info)
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(
-            name=self.name,
-            checked=self.checked,
-            failures=self.failures,
-            worst_margin=self.worst,
-            counterexamples=tuple(self.examples),
-        )
-
-
 def _row_example(X: np.ndarray, n: int, p: float, **extra):
     def make(i: int) -> dict:
         info = {"n": n, "p": _p_token(p), "vector": X[i].tolist()}
@@ -236,28 +194,30 @@ def _finite_ps(cfg: VerifyConfig) -> list[float]:
     return [p for p in cfg.p_values if math.isfinite(p)]
 
 
-def _add_uniform_gap(rec: _Recorder, cfg: VerifyConfig, n: int, p: float) -> None:
+def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
     """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
     uniform = np.full((1, n), 1.0 / n)
     gap = abs((1.0 + dispersion_constant(n, p)) * float(_pnorm_rows(uniform, p)[0]) - 1.0)
-    rec.add([cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0))
+    return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
 
 
 # Each check below states one suite's inequality for one dimension n: it
-# draws from the (suite, n) generator it is given and adds margins to the
-# suite's recorder. _run_one runs a check over every configured dimension.
+# draws from the (suite, n) generator it is given and yields blocks of
+# (margins, threshold, strict, example), where example(i) describes the
+# i-th margin of its block. _run_one folds every dimension's blocks into
+# the suite's result.
 
 
-def _check_cv_bound(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_cv_bound(cfg: VerifyConfig, n: int, rng):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
     X = _sample_rows(n, cfg.samples, rng)
     cv2 = _cv2_rows(X)
     for p in cfg.p_values:
         bound = _cv_bound_rows(n, p, _eps_rows(X, p))
-        rec.add(bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p))
+        yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_inclusion(cfg: VerifyConfig, n: int, rng):
     """Membership at the larger exponent implies membership at the smaller one."""
     X = _sample_rows(n, cfg.samples, rng)
     eps = rng.random(cfg.samples)
@@ -278,26 +238,26 @@ def _check_inclusion(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
                 "vector": X[j].tolist(),
             }
 
-        rec.add(margins, -NONSTRICT_SLACK, False, example)
+        yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_equivalence(cfg: VerifyConfig, n: int, rng):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
     X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
     for p in cfg.p_values:
         t = _pnorm_rows(X, p)
         d = dispersion_constant(n, p)
-        rec.add(1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0))
-        rec.add(
+        yield 1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
+        yield (
             (1.0 + d) * t - 1.0,
             STRICT_MARGIN,
             True,
             _row_example(X, n, p, epsilon=1.0),
         )
-        _add_uniform_gap(rec, cfg, n, p)
+        yield _uniform_gap(cfg, n, p)
 
 
-def _check_corner(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_corner(cfg: VerifyConfig, n: int, rng):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
@@ -315,12 +275,12 @@ def _check_corner(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
             }
 
         margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
-        rec.add(margins, STRICT_MARGIN, True, example)
-        rec.add(1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0))
-        _add_uniform_gap(rec, cfg, n, p)
+        yield margins, STRICT_MARGIN, True, example
+        yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
+        yield _uniform_gap(cfg, n, p)
 
 
-def _check_entropy_identity(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_entropy_identity(cfg: VerifyConfig, n: int, rng):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
     blocks = [_sample_rows(n, cfg.samples, rng)]
     if n >= 3:
@@ -333,21 +293,21 @@ def _check_entropy_identity(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> N
             total, derivative, weights = _power_sum_rows(X, p)
             entropy = _shannon_rows(weights)
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
-            rec.add(cfg.tol - gap, 0.0, False, _row_example(X, n, p))
+            yield cfg.tol - gap, 0.0, False, _row_example(X, n, p)
 
 
-def _check_entropy_sandwich(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
     X = _sample_rows(n, cfg.samples, rng)
     for p in _finite_ps(cfg):
         t = _pnorm_rows(X, p)
         entropy = _shannon_rows(_power_sum_rows(X, p)[2])
-        rec.add(entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
+        yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         upper = -(p / (p - 1.0)) * np.log(t)
-        rec.add(upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p))
+        yield upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_lemma_a1(cfg: VerifyConfig, n: int, rng):
     """Strict negativity of the log-bound expression, equality at e/n (the last row)."""
     samples = _sample_rows(n, cfg.samples, rng, exclude_special=True)
     X = np.vstack([samples, np.full((1, n), 1.0 / n)])
@@ -355,17 +315,17 @@ def _check_lemma_a1(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
         d = dispersion_constant(n, p)
         t = _pnorm_rows(X, p)
         expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
-        rec.add(-expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p))
-        rec.add(cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p))
+        yield -expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p)
+        yield cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p)
 
 
-def _check_f_decreasing(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_f_decreasing(cfg: VerifyConfig, n: int, rng):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
     X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
     thresholds = np.column_stack([_eps_rows(X, p) for p in cfg.p_values])
     for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
         margins = thresholds[:, j] - thresholds[:, j + 1]
-        rec.add(
+        yield (
             margins,
             STRICT_MARGIN,
             True,
@@ -373,7 +333,7 @@ def _check_f_decreasing(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
         )
 
 
-def _check_norm_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
     orders = [1.0] + list(cfg.p_values)
     X = _sample_rows(n, cfg.samples, rng)
@@ -381,7 +341,7 @@ def _check_norm_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> N
     for i, p1 in enumerate(orders):
         for p2 in orders[i + 1 :]:
             pair = [_p_token(p1), _p_token(p2)]
-            rec.add(
+            yield (
                 norms[p1] - norms[p2],
                 -NONSTRICT_SLACK,
                 False,
@@ -390,7 +350,7 @@ def _check_norm_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> N
             ratio = (dispersion_constant(n, p2) + 1.0) / (
                 dispersion_constant(n, p1) + 1.0
             )
-            rec.add(
+            yield (
                 ratio * norms[p2] - norms[p1],
                 -NONSTRICT_SLACK,
                 False,
@@ -398,7 +358,7 @@ def _check_norm_equivalence(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> N
             )
 
 
-def _check_eps_nesting(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
+def _check_eps_nesting(cfg: VerifyConfig, n: int, rng):
     """Membership at a larger eps implies membership at any smaller eps."""
     X = _sample_rows(n, cfg.samples, rng)
     draws = rng.random((2, cfg.samples))
@@ -421,7 +381,7 @@ def _check_eps_nesting(rec: _Recorder, cfg: VerifyConfig, n: int, rng) -> None:
                 "vector": X[j].tolist(),
             }
 
-        rec.add(margins, -NONSTRICT_SLACK, False, example)
+        yield margins, -NONSTRICT_SLACK, False, example
 
 
 _CHECKS = {
@@ -442,21 +402,31 @@ SUITE_NAMES = tuple(_CHECKS)
 
 
 def _run_one(name: str, cfg: VerifyConfig) -> SuiteResult:
-    """One suite's check on every dimension, each with its own (suite, n) substream."""
-    rec = _Recorder(name)
+    """One suite's check on every dimension, each with its own (suite, n) substream.
+
+    A margin fails at or below its threshold when strict, below it otherwise;
+    the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last.
+    """
+    checked = failures = 0
+    worst: float | None = None
+    examples: list[dict] = []
     for n in cfg.n_values:
-        _CHECKS[name](rec, cfg, n, _generator(cfg.seed, name, n))
-    return rec.result()
+        for margins, threshold, strict, example in _CHECKS[name](cfg, n, _generator(cfg.seed, name, n)):
+            margins = np.asarray(margins, dtype=float).ravel()
+            if margins.size:  # an empty block checks nothing
+                checked += margins.size
+                low = float(margins.min())
+                if worst is None or low < worst:
+                    worst = low
+                bad = np.flatnonzero(margins <= threshold if strict else margins < threshold)
+                failures += bad.size
+                for i in bad[: COUNTEREXAMPLE_CAP - len(examples)]:
+                    examples.append({**example(int(i)), "margin": float(margins[i])})
+            # free the block and the samples its example reads before the check draws more
+            del margins, example
+    return SuiteResult(name, checked, failures, worst, tuple(examples))
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
-    """Run the requested suites (in canonical order) and collect the report."""
-    results = tuple(_run_one(name, cfg) for name in SUITE_NAMES if name in cfg.suites)
-    return VerificationReport(
-        seed=cfg.seed,
-        samples=cfg.samples,
-        n_values=cfg.n_values,
-        p_values=cfg.p_values,
-        tol=cfg.tol,
-        suites=results,
-    )
+    """Run the configured suites and collect the report."""
+    return VerificationReport(cfg, tuple(_run_one(name, cfg) for name in cfg.suites))

@@ -435,6 +435,12 @@ class TestVerify:
         assert doc["results"]["all_passed"] is True
         assert [s["name"] for s in doc["results"]["suites"]] == ["corner", "eps-nesting"]
 
+    def test_suites_echoed_in_the_order_they_ran(self, capsys):
+        code, doc = run_json(capsys, "verify", "--suite", "lemma-a1,corner,corner", "--samples", "50")
+        assert code == 0
+        assert doc["inputs"]["suite"] == ["corner", "lemma-a1"]
+        assert [s["name"] for s in doc["results"]["suites"]] == doc["inputs"]["suite"]
+
     def test_unknown_suite_name(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2

@@ -277,6 +277,16 @@ class TestProjectFairRegion:
         assert res.iterations == 3
         assert res.residual > 1e-8
 
+    def test_converged_means_residual_within_tol(self):
+        # the simplex point of y lies outside the p = 4 ball, so one evaluation cannot finish
+        y = np.array([0.7, 0.2, 0.1])
+        capped = project_fair_region(y, FairnessSpec(0.5, 4.0), max_iter=1)
+        assert capped.converged is False
+        assert capped.residual > 1e-8
+        done = project_fair_region(y, FairnessSpec(0.5, 4.0))
+        assert done.converged is True
+        assert done.residual <= 1e-8
+
     def test_optimality_certificate(self):
         rng = np.random.default_rng(23)
         for eps, p in [(0.4, 2.0), (0.6, 4.0), (0.5, INFINITY)]:

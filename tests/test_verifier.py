@@ -57,6 +57,10 @@ class TestVerifyConfig:
         with pytest.raises(ValueError):
             VerifyConfig(suites=())
 
+    def test_suites_kept_once_in_canonical_order(self):
+        assert VerifyConfig(suites=("corner", "corner")).suites == ("corner",)
+        assert VerifyConfig(suites=("lemma-a1", "corner")).suites == ("corner", "lemma-a1")
+
     def test_rejects_bad_samples_and_dims(self):
         with pytest.raises(ValueError):
             VerifyConfig(samples=0)
@@ -165,7 +169,7 @@ class TestRunSuite:
 
     def test_seed_echoed_in_report(self):
         report = run_suite(SMALL)
-        assert report.seed == 7
+        assert report.config.seed == 7
         assert report.to_dict()["seed"] == 7
 
     def test_non_integer_exponent_chain_passes(self):
@@ -175,6 +179,60 @@ class TestRunSuite:
             VerifyConfig(samples=300, seed=13, p_values=(2.0, 2.5, 3.75, 7.5, math.inf))
         )
         assert report.all_passed
+
+
+class TestDriver:
+    """_run_one folds the blocks a check yields into one SuiteResult."""
+
+    def run_fake(self, monkeypatch, check, n_values=(2, 3)):
+        monkeypatch.setitem(verifier._CHECKS, "corner", check)
+        cfg = VerifyConfig(suites=("corner",), samples=1, n_values=n_values)
+        return run_suite(cfg).suites[0]
+
+    @pytest.mark.parametrize("strict, failures", [(True, 1), (False, 0)])
+    def test_margin_at_threshold_fails_only_when_strict(self, monkeypatch, strict, failures):
+        def check(cfg, n, rng):
+            yield [0.5, 0.25], 0.25, strict, lambda i: {"i": i}
+
+        result = self.run_fake(monkeypatch, check, n_values=(2,))
+        assert (result.checked, result.failures, result.worst_margin) == (2, failures, 0.25)
+        assert list(result.counterexamples) == [{"i": 1, "margin": 0.25}] * failures
+
+    def test_empty_block_is_neither_counted_nor_worst(self, monkeypatch):
+        def check(cfg, n, rng):
+            yield np.empty(0), 0.0, False, lambda i: {}
+            yield [3.0, 2.0], 0.0, False, lambda i: {}
+            yield np.empty((0, n)), 0.0, True, lambda i: {}
+
+        result = self.run_fake(monkeypatch, check)
+        assert (result.checked, result.failures, result.worst_margin) == (4, 0, 2.0)
+        assert result.passed
+
+    def test_only_nothing_checked_gives_no_worst_margin(self, monkeypatch):
+        def check(cfg, n, rng):
+            yield [], 0.0, False, lambda i: {}
+
+        result = self.run_fake(monkeypatch, check)
+        assert (result.checked, result.worst_margin, result.passed) == (0, None, False)
+
+    def test_counterexamples_capped_in_yield_order(self, monkeypatch):
+        cap = verifier.COUNTEREXAMPLE_CAP
+        per_block = cap // 4 + 1  # four blocks overflow the cap, and it falls in the second dimension
+
+        def check(cfg, n, rng):
+            for block in range(2):
+                margins = -1.0 - np.arange(per_block) - 100 * block - 1000 * n
+                yield margins, 0.0, False, lambda i, block=block: {"n": n, "block": block, "i": i}
+
+        result = self.run_fake(monkeypatch, check)
+        assert result.failures == result.checked == 2 * 2 * per_block
+        assert len(result.counterexamples) == cap
+        order = [(e["n"], e["block"], e["i"]) for e in result.counterexamples]
+        expected = [(n, b, i) for n in (2, 3) for b in range(2) for i in range(per_block)]
+        assert order == expected[:cap]
+        assert {list(e)[-1] for e in result.counterexamples} == {"margin"}
+        assert result.counterexamples[0]["margin"] == -2001.0
+        assert result.worst_margin == -3000.0 - 100 - per_block
 
 
 class TestBoundaryCases:
