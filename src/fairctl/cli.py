@@ -183,6 +183,7 @@ def _write(value, out: list[str], nl: str, prefixes: dict) -> None:
     """Append the JSON text of a dict, list or tuple to out; nl is a newline and its line's indent.
 
     prefixes caches ',<nl>  "key": ' per indent, for str keys only: 1, 1.0 and True are one key.
+    A _Table item writes itself.
     """
     brackets = "{}" if isinstance(value, dict) else "[]"
     if not value:
@@ -208,10 +209,63 @@ def _write(value, out: list[str], nl: str, prefixes: dict) -> None:
         elif kind is dict or kind is list or isinstance(item, (list, tuple, dict)):
             out.append(prefix)
             _write(item, out, inner, prefixes)
+        elif kind is _Table:
+            out.append(prefix)
+            item.write(out, inner)
         else:
             out.append(prefix + _scalar(item))
     out[start] = out[start][1:]  # the first item has no comma
     out.append(nl + brackets[1])
+
+
+#: A varying place in a _Table's sample row; no key or constant of a row holds it, so its JSON text marks the %s fields
+_SLOT = "\x00"
+_BOOL_TEXT = ("false", "true")
+
+
+def _column(values) -> list | range:
+    """A range, or a float or bool array, as a list whose items' %s text is their JSON text."""
+    if isinstance(values, range):
+        return values
+    if values.dtype == bool:
+        return [_BOOL_TEXT[v] for v in values.tolist()]
+    finite = np.isfinite(values)
+    if not finite.all():
+        _scalar(float(values[~finite][0]))  # raises json's ValueError
+    return values.tolist()
+
+
+class _Table:
+    """A JSON list of k dicts that differ only in some leaves, written from one %-template.
+
+    row is the dict with each varying leaf given as its column: a range or a
+    1-D float or bool array of k >= 1 values. _write writes one row with
+    _SLOT in those places, in the order it visits them, and fills that
+    text's template for all k rows in one % operation.
+    """
+
+    def __init__(self, row: dict):
+        self.columns: list = []
+        self.row = self._sample(row)
+
+    def _sample(self, value):
+        if isinstance(value, dict):
+            return {key: self._sample(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [self._sample(item) for item in value]
+        if isinstance(value, (range, np.ndarray)):
+            self.columns.append(_column(value))
+            return _SLOT
+        return value
+
+    def write(self, out: list[str], nl: str) -> None:
+        inner = nl + "  "
+        sample: list[str] = []
+        _write(self.row, sample, inner, {})
+        template = "".join(sample).replace("%", "%%").replace(_encode(_SLOT), "%s")
+        values = tuple(itertools.chain.from_iterable(zip(*self.columns)))
+        rows = ("," + inner).join([template] * len(self.columns[0])) % values
+        out += ["[", inner, rows, nl, "]"]
 
 
 def _json_text(value) -> str:
@@ -248,26 +302,19 @@ def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):
 
 def _cmd_check(args) -> tuple[dict, int]:
     report = _assess(args, args.eps, args.tol)
-    per_p = [
-        (_p_token(e.p), e.eps_max.tolist(), e.member.tolist(), e.cv_bound)
-        for e in report.per_p
-    ]
     members = np.logical_and.reduce([e.member for e in report.per_p])
-    results = [
+    vectors = _Table(
         {
-            "index": i,
-            "cv": cv,
-            "mean": mean,
+            "index": range(len(report.cv)),
+            "cv": report.cv,
+            "mean": report.mean,
             "per_p": [
-                {"p": p, "eps_max": em[i], "member": mb[i], "cv_bound": bound}
-                for p, em, mb, bound in per_p
+                {"p": _p_token(e.p), "eps_max": e.eps_max, "member": e.member, "cv_bound": e.cv_bound}
+                for e in report.per_p
             ],
-            "member_all_p": member,
+            "member_all_p": members,
         }
-        for i, (cv, mean, member) in enumerate(
-            zip(report.cv.tolist(), report.mean.tolist(), members.tolist())
-        )
-    ]
+    )
     all_members = bool(members.all())
     doc = _document(
         "check",
@@ -277,22 +324,23 @@ def _cmd_check(args) -> tuple[dict, int]:
             "p": [_p_token(p) for p in args.p],
             "tol": args.tol,
         },
-        {"vectors": results, "all_members": all_members},
+        {"vectors": vectors, "all_members": all_members},
     )
     return doc, 0 if all_members else 1
 
 
 def _cmd_epsmax(args) -> tuple[dict, int]:
     report = _assess(args, 0.0)
-    per_p = [(_p_token(e.p), e.eps_max.tolist()) for e in report.per_p]
-    results = [
-        {"index": i, "per_p": [{"p": p, "eps_max": em[i]} for p, em in per_p]}
-        for i in range(len(report.cv))
-    ]
+    vectors = _Table(
+        {
+            "index": range(len(report.cv)),
+            "per_p": [{"p": _p_token(e.p), "eps_max": e.eps_max} for e in report.per_p],
+        }
+    )
     doc = _document(
         "epsmax",
         {"input": args.input, "p": [_p_token(p) for p in args.p]},
-        {"vectors": results},
+        {"vectors": vectors},
     )
     return doc, 0
 

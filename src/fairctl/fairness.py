@@ -201,8 +201,9 @@ def dispersion_report(
     ``rows`` is a (k, n) array, which gives length-k arrays, or a single
     vector (a NonNegVector or a 1-D array), which gives numpy scalars. The
     first row with a non-finite or negative entry, or with no positive
-    entry, raises ValueError naming its index. Entries come back sorted by
-    p ascending with infinity last.
+    entry, raises ValueError naming its index; a row whose sum overflows is
+    assessed as itself over its maximum. Entries come back sorted by p
+    ascending with infinity last.
     """
     if not ps:
         raise ValueError("at least one exponent is required")
@@ -213,7 +214,13 @@ def dispersion_report(
     fault = _row_fault(x)
     if fault is not None:
         raise ValueError(f"vector {fault[0]}: {fault[1]}")
-    y = x / x.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        total = x.sum(axis=-1, keepdims=True)
+    huge = ~np.isfinite(total)
+    if huge.any():  # a finite row whose sum overflows is scaled by its maximum first
+        x = np.where(huge, x / x.max(axis=-1, keepdims=True), x)
+        total = x.sum(axis=-1, keepdims=True)
+    y = x / total
     n = y.shape[-1]
     return DispersionReport(
         cv=np.sqrt(np.maximum(_cv2_rows(y), 0.0)),

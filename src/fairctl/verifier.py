@@ -63,6 +63,8 @@ class VerifyConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
+        if isinstance(self.suites, str):  # one suite name, not a sequence of letters
+            object.__setattr__(self, "suites", (self.suites,))
         if not self.suites:
             raise ValueError("at least one suite is required")
         unknown = [s for s in self.suites if s not in SUITE_NAMES]

@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import hashlib
 import json
@@ -113,6 +114,21 @@ class TestCheck:
     def test_bad_p_token_rejected(self, capsys, half_half_csv):
         code, _, _ = run(capsys, "check", "--eps", "0.5", "--p", "1.2", "--input", half_half_csv)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["check", "--eps", "0.3"], ["epsmax"]], ids=lambda argv: argv[0])
+    def test_row_whose_sum_overflows_reads_as_its_scaled_self(self, capsys, tmp_path, argv):
+        reports = []
+        for name, text in (("huge.csv", "1e308,1e308,1\n"), ("small.csv", "1,1,0\n")):
+            code, out, err = run(capsys, *argv, "--p", "2,3.5,inf", "--input", write(tmp_path / name, text))
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out)["results"]["vectors"][0])
+        huge, small = reports
+        assert huge.keys() == small.keys()
+        for key in {"cv", "mean"} & small.keys():
+            assert huge[key] == pytest.approx(small[key], abs=1e-15)
+        for got, want in zip(huge["per_p"], small["per_p"], strict=True):
+            assert got["eps_max"] == pytest.approx(want["eps_max"], abs=1e-15)
+            assert {**got, "eps_max": 0} == {**want, "eps_max": 0}
 
 
 class TestEpsmax:
@@ -693,3 +709,58 @@ class TestJsonWriter:
         data = target.read_bytes()
         assert out.encode() == data
         assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("p", ["2", "inf", "2,3.5,10,inf"])
+    @pytest.mark.parametrize("command", ["check", "epsmax"])
+    @pytest.mark.parametrize(
+        "name, text, all_members",
+        [
+            ("vec.csv", "0.5,0.5,0,0\n1e-12,3,2.5,7\n1,1,1,1.000001\n", False),
+            ("one.csv", "0.5,0.5,0,0\n", False),
+            ("flat.csv", "1,1,1,1\n2,2,2,2.000000001\n0.5,0.5,0.5,0.25\n", True),
+            ("50%s é.csv", "0.5,0.5,0,0\n1e-12,3,2.5,7\n1,1,1,1.000001\n", False),
+        ],
+        ids=["rows", "single-row", "all-member", "odd-path"],
+    )
+    def test_vector_rows_are_json_dumps_of_the_reports_arrays(
+        self, capsys, tmp_path, p, command, name, text, all_members
+    ):
+        """The vectors list has the bytes json.dumps writes for one dict per row of dispersion_report."""
+        path = write(tmp_path / name, text)
+        eps = 0.5 if command == "check" else 0.0
+        argv = [command, "--p", p, "--input", path] + (["--eps", str(eps)] if command == "check" else [])
+        code, out, err = run(capsys, *argv)
+        report = fairctl.dispersion_report(np.loadtxt(path, delimiter=",", ndmin=2), cli._exponents(p), eps)
+        vectors = []
+        for i in range(len(report.cv)):
+            per_p = [{"p": "inf" if math.isinf(e.p) else e.p, "eps_max": float(e.eps_max[i])} for e in report.per_p]
+            if command == "epsmax":
+                vectors.append({"index": i, "per_p": per_p})
+                continue
+            for entry, e in zip(per_p, report.per_p):
+                entry.update(member=bool(e.member[i]), cv_bound=e.cv_bound)
+            member = all(entry["member"] for entry in per_p)
+            cv, mean = float(report.cv[i]), float(report.mean[i])
+            vectors.append({"index": i, "cv": cv, "mean": mean, "per_p": per_p, "member_all_p": member})
+        expected = json.loads(out)
+        assert expected["inputs"]["input"] == path
+        expected["results"]["vectors"] = vectors
+        assert (out, err) == (json.dumps(expected, indent=2) + "\n", "")
+        assert code == (0 if command == "epsmax" or all_members else 1)
+
+    @pytest.mark.parametrize("argv", [["check", "--eps", "0.3"], ["epsmax"]], ids=lambda argv: argv[0])
+    def test_nan_eps_max_exits_two(self, capsys, monkeypatch, tmp_path, argv):
+        real = cli.dispersion_report
+
+        def planted(*args, **kwargs):
+            report = real(*args, **kwargs)
+            entry = report.per_p[-1]
+            eps_max = entry.eps_max.copy()
+            eps_max[1] = math.nan
+            return dataclasses.replace(report, per_p=(*report.per_p[:-1], dataclasses.replace(entry, eps_max=eps_max)))
+
+        monkeypatch.setattr(cli, "dispersion_report", planted)
+        path = write(tmp_path / "vec.csv", "1,2,3\n4,5,6\n7,8,9\n")
+        code, out, err = run(capsys, *argv, "--p", "2,inf", "--input", path)
+        assert (code, out) == (2, "")
+        assert "not JSON compliant: nan" in err

@@ -286,6 +286,20 @@ class TestDispersionReport:
         np.testing.assert_array_equal(report.per_p[1].eps_max, [1.0 / 3.0, 1.0, 0.0])
         np.testing.assert_array_equal(report.per_p[1].member, [True, True, False])
 
+    def test_row_whose_sum_overflows_is_scaled_and_others_keep_their_bits(self):
+        rows = np.array([[0.5, 0.25, 0.25], [1e308, 1e308, 1.0], [1.0, 2.0, 3.0]])
+        ps = [2, 3.5, INFINITY]
+        report = dispersion_report(rows, ps, eps=0.3)
+        scaled = dispersion_report(rows / [[1.0], [1e308], [1.0]], ps, eps=0.3)
+        plain = dispersion_report(rows[[0, 2]], ps, eps=0.3)
+        for got, want in zip(report.per_p, scaled.per_p):
+            np.testing.assert_allclose(got.eps_max, want.eps_max, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(got.member, want.member)
+        for got, want in zip(report.per_p, plain.per_p):
+            np.testing.assert_array_equal(got.eps_max[[0, 2]], want.eps_max)
+        np.testing.assert_array_equal(report.cv[[0, 2]], plain.cv)
+        np.testing.assert_allclose(report.cv, scaled.cv, rtol=0, atol=1e-15)
+
     def test_bad_row_is_named_by_index(self):
         # the first bad row is named, whichever rule it breaks
         for rows, message in (

@@ -61,6 +61,11 @@ class TestVerifyConfig:
         assert VerifyConfig(suites=("corner", "corner")).suites == ("corner",)
         assert VerifyConfig(suites=("lemma-a1", "corner")).suites == ("corner", "lemma-a1")
 
+    def test_a_str_is_one_suite_name(self):
+        assert VerifyConfig(suites="corner").suites == ("corner",)
+        with pytest.raises(ValueError, match=r"unknown suites: \['cornerx'\]"):
+            VerifyConfig(suites="cornerx")
+
     def test_rejects_bad_samples_and_dims(self):
         with pytest.raises(ValueError):
             VerifyConfig(samples=0)
