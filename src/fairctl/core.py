@@ -1,10 +1,10 @@
 """Scalar building blocks: lp norms, dispersion constants, power sums, Shannon entropy.
 
 Everything here is a pure function of immutable vector values, so all
-operations are safe to call concurrently. Large exponents are handled by
-factoring out the largest component before powering, which keeps norms
-accurate for p up to at least 1e4 without intermediate overflow or
-underflow.
+operations are safe to call concurrently; only a ``_Workspace`` belongs to
+one run at a time. Large exponents are handled by factoring out the largest
+component before powering, which keeps norms accurate for p up to at least
+1e4 without intermediate overflow or underflow.
 """
 
 from __future__ import annotations
@@ -201,17 +201,56 @@ def _row_sum(rows: np.ndarray, keepdims: bool = False) -> np.ndarray:
     return total[..., None] if keepdims else total
 
 
-def _pnorm_rows(rows: np.ndarray, p: float) -> np.ndarray:
+class _Workspace:
+    """Three float64 slots, "sample", "ratio" and "power", of ``size`` values each, that one run reuses.
+
+    ``take`` gives an uninitialised view of a slot, shaped and laid out as
+    asked, or a fresh array where it does not fit. Kernels write temporaries
+    into the slots they name; no two blocks alive at once may share a slot.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._slots = {slot: np.empty(size) for slot in ("sample", "ratio", "power")}
+
+    def take(self, slot: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+        count = math.prod(shape)
+        if not 0 < count <= self.size:
+            return np.empty(shape, order=order)
+        return self._slots[slot][:count].reshape(shape, order=order)
+
+    def like(self, slot: str, a: np.ndarray) -> np.ndarray:
+        """A view of the slot laid out as numpy lays out a result shaped like a."""
+        return self.take(slot, a.shape, "F" if a.flags.f_contiguous else "C")
+
+
+_NO_WORKSPACE = _Workspace(0)  # no room: every array it gives is fresh
+
+
+def _pnorm_rows(rows: np.ndarray, p, work: _Workspace = _NO_WORKSPACE) -> np.ndarray:
     """lp norm along the last axis, max-factored for large-p stability.
 
     Accepts 1-D vectors or stacked rows; rows must be nonnegative with a
-    positive maximum. Supports any real p >= 1 and infinity.
+    positive maximum. Supports any real p >= 1 and infinity, or a tuple or
+    list of them: the norms stacked, ``(len(p),) + rows.shape[:-1]``, bit for
+    bit, from one peak and one ratio block.
     """
     rows = np.asarray(rows, dtype=float)
     if p == INFINITY:
         return _row_max(rows)
     if p == 1.0:
         return _row_sum(rows)
+    if isinstance(p, (tuple, list)):
+        peak = _row_max(rows, True)
+        ratios = np.divide(rows, peak, out=work.like("ratio", rows))
+        norms = np.empty((len(p),) + rows.shape[:-1])
+        for k, q in enumerate(p):
+            if q == INFINITY or q == 1.0:
+                norms[k] = _pnorm_rows(rows, q)
+            else:  # each p raised into one reused buffer
+                powered = np.power(ratios, q, out=work.like("power", rows))
+                norms[k] = peak[..., 0] * np.power(_row_sum(powered), 1.0 / q)
+        return norms
     peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
     ratios = rows / peak
     total = _row_sum(np.power(ratios, p))
@@ -245,17 +284,28 @@ class PowerSum(NamedTuple):
     weights: WeightVector
 
 
-def _power_sum_rows(rows: np.ndarray, p: float):
-    """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum.
+def _log_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ln x into out, with 0 where x is not positive, so that the terms 0 ln 0 vanish."""
+    out.fill(1.0)
+    np.copyto(out, rows, where=rows > 0)
+    return np.log(out, out=out)
 
-    Along the last axis, for a 1-D vector or stacked rows; terms with
-    x_i = 0 contribute 0 to the derivative (0 * ln 0 = 0).
+
+def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE, logs=None):
+    """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum, in the "power" slot.
+
+    Along the last axis, for a 1-D vector or stacked rows; terms with x_i = 0 contribute 0 to
+    the derivative (0 * ln 0 = 0). ``logs`` may bring ``_log_rows(rows)``, made once for all p.
     """
-    powered = rows**p
+    powered = work.like("power", rows)
+    powered[...] = rows
+    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
     value = _row_sum(powered, keepdims=True)
-    safe = np.where(rows > 0, rows, 1.0)
-    derivative = _row_sum(powered * np.log(safe))
-    return value[..., 0], derivative, powered / value
+    product = work.like("ratio", rows)
+    if logs is None:
+        logs = _log_rows(rows, product)
+    derivative = _row_sum(np.multiply(powered, logs, out=product))
+    return value[..., 0], derivative, np.divide(powered, value, out=powered)
 
 
 def power_sum(x: SimplexVector, p: float) -> PowerSum:
@@ -271,10 +321,10 @@ def power_sum(x: SimplexVector, p: float) -> PowerSum:
     return PowerSum(float(value), float(derivative), WeightVector(weights))
 
 
-def _shannon_rows(w: np.ndarray) -> np.ndarray:
-    """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention."""
-    safe = np.where(w > 0, w, 1.0)
-    return -_row_sum(w * np.log(safe))
+def _shannon_rows(w: np.ndarray, work: _Workspace = _NO_WORKSPACE) -> np.ndarray:
+    """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention; "ratio" slot is scratch."""
+    product = _log_rows(w, work.like("ratio", w))
+    return -_row_sum(np.multiply(w, product, out=product))
 
 
 def shannon_entropy(w: WeightVector) -> float:

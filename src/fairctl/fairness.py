@@ -34,6 +34,7 @@ from .core import (
     p_norm,
     _pnorm_rows,
     _row_fault,
+    _NO_WORKSPACE,
 )
 
 #: Round-off window within which eps_max is clamped back into [0, 1].
@@ -63,19 +64,22 @@ class FairnessSpec:
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
-def _eps_rows(rows: np.ndarray, p: float) -> np.ndarray:
+def _eps_rows(rows: np.ndarray, p, work=_NO_WORKSPACE) -> np.ndarray:
     """eps_max (1 - ||x||_p) / (D_p ||x||_p) along the last axis of simplex rows.
 
     Round-off excursions outside [0, 1] of at most EPS_CLAMP_TOL are
-    clamped; anything larger raises.
+    clamped; anything larger raises. A tuple or list of exponents stacks them as ``_pnorm_rows`` does.
     """
-    t = _pnorm_rows(rows, p)
-    d = dispersion_constant(rows.shape[-1], p)
-    vals = (1.0 - t) / (d * t)
-    overshoot = max(float(-vals.min(initial=0.0)), float(vals.max(initial=1.0) - 1.0))
-    if overshoot > EPS_CLAMP_TOL:
-        raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
-    return np.clip(vals, 0.0, 1.0)
+    chain = isinstance(p, (tuple, list))
+    vals = np.reshape(_pnorm_rows(rows, p, work), (-1,) + rows.shape[:-1])  # thresholds replace norms
+    for k, q in enumerate(p if chain else (p,)):
+        d = dispersion_constant(rows.shape[-1], q)
+        vals[k] = (1.0 - vals[k]) / (d * vals[k])
+        overshoot = max(float(-vals[k].min(initial=0.0)), float(vals[k].max(initial=1.0) - 1.0))
+        if overshoot > EPS_CLAMP_TOL:
+            raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
+    np.clip(vals, 0.0, 1.0, out=vals)
+    return vals if chain else vals[0]
 
 
 def eps_max(x: SimplexVector, p: float) -> float:
@@ -102,9 +106,9 @@ def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) ->
     return bool(_member_rows(x.values, spec.epsilon, spec.p, tol))
 
 
-def _cv2_rows(rows: np.ndarray) -> np.ndarray:
+def _cv2_rows(rows: np.ndarray, work=_NO_WORKSPACE) -> np.ndarray:
     """Squared CV n ||x||_2^2 - 1 along the last axis of simplex rows."""
-    t = _pnorm_rows(rows, 2.0)
+    t = _pnorm_rows(rows, (2.0,), work)[0]
     return rows.shape[-1] * (t * t) - 1.0
 
 

@@ -24,11 +24,14 @@ from .core import (
     check_exponent,
     check_tolerance,
     dispersion_constant,
+    _log_rows,
     _pnorm_rows,
     _power_sum_rows,
     _row_max,
     _row_sum,
     _shannon_rows,
+    _NO_WORKSPACE,
+    _Workspace,
 )
 from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows
 
@@ -158,26 +161,25 @@ def _generator(seed: int, suite: str, n: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _sample_rows(
-    n: int, count: int, rng: np.random.Generator, exclude_special: bool = False
-) -> np.ndarray:
+def _sample_rows(n: int, count: int, rng, exclude_special: bool = False, work=_NO_WORKSPACE, out=None) -> np.ndarray:
     """Flat-Dirichlet rows: unit-exponential draws normalized by their sum.
 
     The block is column-major, so the row kernels read contiguous columns.
     With exclude_special, rows within EXCLUSION_RADIUS (max norm) of any
-    vertex e_i or of e/n are rejected and redrawn.
+    vertex e_i or of e/n are rejected and redrawn. The rows fill ``out``, else the "sample" slot.
     """
-    rows = np.empty((count, n), order="F")
+    rows = work.take("sample", (count, n), "F") if out is None else out
     filled = 0
     while filled < count:
-        draw = rng.standard_exponential((count - filled, n))
-        batch = draw / _row_sum(draw, keepdims=True)
+        draw = rng.standard_exponential(out=work.take("power", (count - filled, n)))
+        batch = np.divide(draw, _row_sum(draw, keepdims=True), out=draw)
         if exclude_special:
             # a row is within eps of some e_i exactly when its max >= 1 - eps
+            gap = np.subtract(batch, 1.0 / n, out=work.take("ratio", batch.shape))
             keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (
-                _row_max(np.abs(batch - 1.0 / n)) > EXCLUSION_RADIUS
+                _row_max(np.abs(gap, out=gap)) > EXCLUSION_RADIUS
             )
-            batch = batch[keep]
+            batch = batch if keep.all() else batch[keep]
         rows[filled : filled + batch.shape[0]] = batch
         filled += batch.shape[0]
     return rows
@@ -207,23 +209,24 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
 # draws from the (suite, n) generator it is given and yields blocks of
 # (margins, threshold, strict, example), where example(i) describes the
 # i-th margin of its block. _run_one folds every dimension's blocks into
-# the suite's result.
+# the suite's result. Its samples fill the run's "sample" slot, which no
+# kernel writes; a second block alive beside them is a fresh array.
 
 
-def _check_cv_bound(cfg: VerifyConfig, n: int, rng):
+def _check_cv_bound(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X = _sample_rows(n, cfg.samples, rng)
-    cv2 = _cv2_rows(X)
-    for p in cfg.p_values:
-        bound = _cv_bound_rows(n, p, _eps_rows(X, p))
+    X = _sample_rows(n, cfg.samples, rng, work=work)
+    cv2 = _cv2_rows(X, work)
+    for p, eps in zip(cfg.p_values, _eps_rows(X, cfg.p_values, work)):
+        bound = _cv_bound_rows(n, p, eps)
         yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(cfg: VerifyConfig, n: int, rng):
+def _check_inclusion(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X = _sample_rows(n, cfg.samples, rng)
+    X = _sample_rows(n, cfg.samples, rng, work=work)
     eps = rng.random(cfg.samples)
-    norms = {p: _pnorm_rows(X, p) for p in cfg.p_values}
+    norms = dict(zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)))
     for p1, p2 in zip(cfg.p_values, cfg.p_values[1:]):
         d1 = dispersion_constant(n, p1)
         d2 = dispersion_constant(n, p2)
@@ -243,11 +246,10 @@ def _check_inclusion(cfg: VerifyConfig, n: int, rng):
         yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(cfg: VerifyConfig, n: int, rng):
+def _check_equivalence(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-    for p in cfg.p_values:
-        t = _pnorm_rows(X, p)
+    X = _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work)
+    for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
         d = dispersion_constant(n, p)
         yield 1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
         yield (
@@ -259,13 +261,12 @@ def _check_equivalence(cfg: VerifyConfig, n: int, rng):
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_corner(cfg: VerifyConfig, n: int, rng):
+def _check_corner(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
-    for p in cfg.p_values:
+    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, work)):
         d = dispersion_constant(n, p)
-        tv = _pnorm_rows(vertices, p)
 
         def example(i: int) -> dict:
             sample, vertex = divmod(i, n)
@@ -276,57 +277,58 @@ def _check_corner(cfg: VerifyConfig, n: int, rng):
                 "epsilon": float(eps[sample]),
             }
 
-        margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
+        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=work.take("sample", (cfg.samples, n)))
+        margins -= 1.0  # corner draws no samples: its (samples, n) margins fill their slot
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_entropy_identity(cfg: VerifyConfig, n: int, rng):
+def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    blocks = [_sample_rows(n, cfg.samples, rng)]
+    blocks = [_sample_rows(n, cfg.samples, rng, work=work)]
     if n >= 3:
-        # zero-component rows: lower-dimensional samples padded with a zero
+        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (blocks[0] has the slot)
         padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
         blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
     blocks.append(np.eye(n))
+    logs = [_log_rows(X, np.empty_like(X)) for X in blocks]  # once per block, for every p
     for p in _finite_ps(cfg):
-        for X in blocks:
-            total, derivative, weights = _power_sum_rows(X, p)
-            entropy = _shannon_rows(weights)
+        for X, log_x in zip(blocks, logs):
+            total, derivative, weights = _power_sum_rows(X, p, work, log_x)
+            entropy = _shannon_rows(weights, work)
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
             yield cfg.tol - gap, 0.0, False, _row_example(X, n, p)
 
 
-def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng):
+def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X = _sample_rows(n, cfg.samples, rng)
-    for p in _finite_ps(cfg):
-        t = _pnorm_rows(X, p)
-        entropy = _shannon_rows(_power_sum_rows(X, p)[2])
+    X = _sample_rows(n, cfg.samples, rng, work=work)
+    for p, t in zip(_finite_ps(cfg), _pnorm_rows(X, _finite_ps(cfg), work)):
+        entropy = _shannon_rows(_power_sum_rows(X, p, work)[2], work)
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         upper = -(p / (p - 1.0)) * np.log(t)
         yield upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(cfg: VerifyConfig, n: int, rng):
+def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """Strict negativity of the log-bound expression, equality at e/n (the last row)."""
-    samples = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-    X = np.vstack([samples, np.full((1, n), 1.0 / n)])
-    for p in _finite_ps(cfg):
+    X = work.take("sample", (cfg.samples + 1, n), "F")
+    _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work, out=X[:-1])
+    X[-1] = 1.0 / n
+    for p, t in zip(_finite_ps(cfg), _pnorm_rows(X, _finite_ps(cfg), work)):
         d = dispersion_constant(n, p)
-        t = _pnorm_rows(X, p)
         expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
         yield -expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p)
         yield cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p)
 
 
-def _check_f_decreasing(cfg: VerifyConfig, n: int, rng):
+def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X = _sample_rows(n, cfg.samples, rng, exclude_special=True)
-    thresholds = np.column_stack([_eps_rows(X, p) for p in cfg.p_values])
+    X = _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work)
+    thresholds = _eps_rows(X, cfg.p_values, work)
     for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
-        margins = thresholds[:, j] - thresholds[:, j + 1]
+        margins = thresholds[j] - thresholds[j + 1]
         yield (
             margins,
             STRICT_MARGIN,
@@ -335,11 +337,11 @@ def _check_f_decreasing(cfg: VerifyConfig, n: int, rng):
         )
 
 
-def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng):
+def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
     orders = [1.0] + list(cfg.p_values)
-    X = _sample_rows(n, cfg.samples, rng)
-    norms = {p: _pnorm_rows(X, p) for p in orders}
+    X = _sample_rows(n, cfg.samples, rng, work=work)
+    norms = dict(zip(orders, _pnorm_rows(X, orders, work)))
     for i, p1 in enumerate(orders):
         for p2 in orders[i + 1 :]:
             pair = [_p_token(p1), _p_token(p2)]
@@ -360,16 +362,15 @@ def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng):
             )
 
 
-def _check_eps_nesting(cfg: VerifyConfig, n: int, rng):
+def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X = _sample_rows(n, cfg.samples, rng)
+    X = _sample_rows(n, cfg.samples, rng, work=work)
     draws = rng.random((2, cfg.samples))
     hi = draws.max(axis=0)
     lo = draws.min(axis=0)
     distinct = hi > lo
-    for p in cfg.p_values:
+    for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
         d = dispersion_constant(n, p)
-        t = _pnorm_rows(X, p)
         applicable = distinct & ((1.0 + hi * d) * t <= 1.0)
         idx = np.nonzero(applicable)[0]
         margins = (1.0 - (1.0 + lo * d) * t)[applicable]
@@ -403,32 +404,37 @@ _CHECKS = {
 SUITE_NAMES = tuple(_CHECKS)
 
 
-def _run_one(name: str, cfg: VerifyConfig) -> SuiteResult:
+def _run_one(name: str, cfg: VerifyConfig, work: _Workspace) -> SuiteResult:
     """One suite's check on every dimension, each with its own (suite, n) substream.
 
-    A margin fails at or below its threshold when strict, below it otherwise;
-    the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last.
+    A margin fails at or below its threshold when strict, below it otherwise, NaN always;
+    the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null).
     """
     checked = failures = 0
     worst: float | None = None
     examples: list[dict] = []
     for n in cfg.n_values:
-        for margins, threshold, strict, example in _CHECKS[name](cfg, n, _generator(cfg.seed, name, n)):
+        for margins, threshold, strict, example in _CHECKS[name](cfg, n, _generator(cfg.seed, name, n), work):
             margins = np.asarray(margins, dtype=float).ravel()
             if margins.size:  # an empty block checks nothing
                 checked += margins.size
                 low = float(margins.min())
-                if worst is None or low < worst:
+                if math.isnan(low):  # a NaN margin fails below, and the worst is the least numeric one
+                    low = float(np.fmin.reduce(margins))
+                if not math.isnan(low) and (worst is None or low < worst):
                     worst = low
-                bad = np.flatnonzero(margins <= threshold if strict else margins < threshold)
+                bad = np.flatnonzero(~(margins > threshold if strict else margins >= threshold))
                 failures += bad.size
                 for i in bad[: COUNTEREXAMPLE_CAP - len(examples)]:
-                    examples.append({**example(int(i)), "margin": float(margins[i])})
+                    margin = None if np.isnan(margins[i]) else float(margins[i])
+                    examples.append({**example(int(i)), "margin": margin})
             # free the block and the samples its example reads before the check draws more
             del margins, example
     return SuiteResult(name, checked, failures, worst, tuple(examples))
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
-    """Run the configured suites and collect the report."""
-    return VerificationReport(cfg, tuple(_run_one(name, cfg) for name in cfg.suites))
+    """Run the configured suites in one workspace and collect the report; 0/0 is a failing margin, not a warning."""
+    work = _Workspace((cfg.samples + 1) * max(cfg.n_values))
+    with np.errstate(all="ignore"):
+        return VerificationReport(cfg, tuple(_run_one(name, cfg, work) for name in cfg.suites))

@@ -493,6 +493,32 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_report_bytes_are_pinned_at_an_odd_shape(self, capsys, tmp_path):
+        # rows longer than the column kernels take, a two-entry dimension, a
+        # fractional exponent and an unsorted dimension list; pinned before
+        # the verifier ran in one workspace per run
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "all", "--samples", "3000", "--n-values", "130,2,7",
+            "--p-chain", "2,3.5,60,inf", "--seed", "42", "--out", str(out),
+        )
+        assert code == 0
+        digest = "7fc41b787707216a31eefae25879853ab7468d6a60a3424580c9351d5f57fcd8"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_nan_margins_fail_without_warnings(self, capsys, recwarn):
+        # x^1000 underflows to 0 in 200 dimensions, so weights are 0/0
+        code, doc = run_json(
+            capsys, "verify", "--suite", "entropy-identity,entropy-sandwich", "--samples", "200",
+            "--n-values", "200", "--p-chain", "2,1000",
+        )
+        assert code == 1
+        assert doc["results"]["all_passed"] is False
+        margins = [e["margin"] for s in doc["results"]["suites"] for e in s["counterexamples"]]
+        assert None in margins
+        assert all(s["failures"] > 0 for s in doc["results"]["suites"])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FAIRCTL_SEED", "123")
         _, doc = run_json(capsys, "verify", "--suite", "corner", "--samples", "50")

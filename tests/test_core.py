@@ -17,7 +17,17 @@ from fairctl import (
     shannon_entropy,
 )
 
-from fairctl.core import _row_max, _row_sum, check_iterations, check_tolerance
+from fairctl.core import (
+    _log_rows,
+    _pnorm_rows,
+    _power_sum_rows,
+    _row_max,
+    _row_sum,
+    _shannon_rows,
+    _Workspace,
+    check_iterations,
+    check_tolerance,
+)
 
 import oracles
 
@@ -205,6 +215,86 @@ class TestRowKernels:
         _row_sum(x)
         _row_max(x)
         assert np.array_equal(x, before)
+
+
+def bits(a) -> np.ndarray:
+    """The float64 values as integers, so that comparing them compares every bit, NaN and -0.0 too."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def workspaces(x):
+    """Keyword arguments for no workspace, one that holds x, and one too small for it."""
+    return [{}, {"work": _Workspace(x.size)}, {"work": _Workspace(1)}]
+
+
+def reference_power_sum(rows, p):
+    """The power-sum kernel as plain numpy expressions, with fresh temporaries and ln x per call."""
+    powered = rows**p
+    value = _row_sum(powered, keepdims=True)
+    derivative = _row_sum(powered * np.log(np.where(rows > 0, rows, 1.0)))
+    return value[..., 0], derivative, powered / value
+
+
+def reference_shannon(w):
+    return -_row_sum(w * np.log(np.where(w > 0, w, 1.0)))
+
+
+chain_exponents = st.lists(
+    st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 10.0, 60.0, 1000.0, INFINITY]), min_size=1, max_size=6, unique=True
+)
+kernel_inputs = (
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(1, 40)),
+    st.integers(2, 130),
+    st.sampled_from(["exponential", "nine decades", "zeros", "signed zeros"]),
+    st.sampled_from(["C", "F"]),
+)
+
+
+class TestChainKernels:
+    """The exponent chain and the workspace change no bit of a kernel's result: the verify pins depend on it."""
+
+    @settings(max_examples=200)
+    @given(*kernel_inputs, chain_exponents)
+    @example(0, 20, 10, "exponential", "F", [1.0, 2.0, 3.5, 1000.0, INFINITY])
+    @example(1, None, 7, "nine decades", "C", [INFINITY, 1000.0, 3.5, 2.0, 1.0])
+    @example(2, 30, 130, "zeros", "F", [2.0, 3.5, 1000.0])
+    @example(3, 1, 2, "nine decades", "F", [1.0, INFINITY])
+    def test_chain_is_the_stack_of_single_exponents(self, seed, rows, n, profile, order, ps):
+        x = kernel_rows(seed, rows, n, profile, order)
+        with np.errstate(all="ignore"):  # an all-zero row reads 0/0 in both forms
+            expected = np.stack([_pnorm_rows(x, p) for p in ps])
+            for form in (ps, tuple(ps)):
+                for work in workspaces(x):
+                    stacked = _pnorm_rows(x, form, **work)
+                    assert stacked.shape == (len(ps),) + x.shape[:-1]
+                    assert np.array_equal(bits(stacked), bits(expected))
+
+    @settings(max_examples=150)
+    @given(*kernel_inputs, st.sampled_from([2.0, 3.0, 3.5, 10.0, 60.0, 1000.0]))
+    @example(0, 20, 10, "zeros", "F", 2.0)
+    @example(1, None, 130, "nine decades", "C", 1000.0)
+    def test_power_sum_and_entropy_with_and_without_a_workspace(self, seed, rows, n, profile, order, p):
+        x = kernel_rows(seed, rows, n, profile, order)
+        with np.errstate(all="ignore"):  # weights of an all-zero row are 0/0 in both forms
+            expected = reference_power_sum(x, p)
+            entropy = reference_shannon(expected[2])
+            for work in workspaces(x):
+                for logs in (None, _log_rows(x, np.empty_like(x))):
+                    got = _power_sum_rows(x, p, logs=logs, **work)
+                    for a, b in zip(got, expected):
+                        assert np.array_equal(bits(a), bits(b))
+                    assert np.array_equal(bits(_shannon_rows(got[2], **work)), bits(entropy))
+
+    def test_workspace_views_are_laid_out_as_asked(self):
+        work = _Workspace(12)
+        block = work.take("sample", (3, 4), "F")
+        assert block.flags.f_contiguous and block.shape == (3, 4)
+        assert np.shares_memory(block, work.take("sample", (2, 6)))
+        assert not np.shares_memory(block, work.take("ratio", (3, 4)))
+        assert not np.shares_memory(block, work.take("sample", (13,)))  # too large: a fresh array
+        assert work.like("power", block).flags.f_contiguous
+        assert work.like("power", np.ascontiguousarray(block)).flags.c_contiguous
 
 
 # ------------------------------------------------ tolerances and caps

@@ -1,8 +1,13 @@
 import json
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairctl import (
     SUITE_NAMES,
@@ -13,6 +18,7 @@ from fairctl import (
     run_suite,
 )
 from fairctl import verifier
+from fairctl.core import _row_sum, _Workspace
 from fairctl.verifier import _sample_rows
 
 
@@ -46,6 +52,53 @@ class TestSampling:
 
     def test_sample_is_valid_simplex_vector(self):
         SimplexVector(_sample_rows(4, 1, rng(4))[0])
+
+
+def reference_sample_rows(n, count, generator, exclude_special=False):
+    """The sampler with a fresh array for every draw and every step, as plain numpy expressions."""
+    rows = np.empty((count, n), order="F")
+    filled = 0
+    while filled < count:
+        draw = generator.standard_exponential((count - filled, n))
+        batch = draw / _row_sum(draw, keepdims=True)
+        if exclude_special:
+            radius = verifier.EXCLUSION_RADIUS
+            keep = (1.0 - batch.max(axis=1) > radius) & (np.abs(batch - 1.0 / n).max(axis=1) > radius)
+            batch = batch[keep]
+        rows[filled : filled + batch.shape[0]] = batch
+        filled += batch.shape[0]
+    return rows
+
+
+class TestSamplingWorkspace:
+    """A workspace changes neither the samples, bit for bit, nor the generator state they leave."""
+
+    def assert_same_draws(self, n, count, seed, exclude):
+        expected_rng = rng(seed)
+        expected = reference_sample_rows(n, count, expected_rng, exclude)
+        for work in ({}, {"work": _Workspace((count + 1) * n)}, {"work": _Workspace(1)}):
+            generator = rng(seed)
+            rows = _sample_rows(n, count, generator, exclude, **work)
+            assert rows.shape == (count, n) and rows.flags.f_contiguous
+            assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+            assert generator.bit_generator.state == expected_rng.bit_generator.state
+        # drawn into the first rows of a larger block, as lemma-a1 stacks e/n below them
+        block = _Workspace((count + 1) * n).take("sample", (count + 1, n), "F")
+        _sample_rows(n, count, rng(seed), exclude, _Workspace((count + 1) * n), out=block[:-1])
+        assert np.array_equal(block[:-1], expected)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 300), st.booleans())
+    @example(0, 10, 10000, False)
+    @example(1, 130, 3, True)
+    def test_same_bits_and_generator_state(self, seed, n, count, exclude):
+        self.assert_same_draws(n, count, seed, exclude)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_same_bits_when_many_draws_are_rejected(self, n):
+        # a wide radius rejects a large share of every batch, so the sampler redraws
+        with mock.patch.object(verifier, "EXCLUSION_RADIUS", 0.1):
+            self.assert_same_draws(n, 500, n, True)
 
 
 class TestVerifyConfig:
@@ -177,6 +230,32 @@ class TestRunSuite:
         assert report.config.seed == 7
         assert report.to_dict()["seed"] == 7
 
+    def test_runs_in_threads_match_serial_runs(self):
+        # each run owns its workspace; more threads than cores, switching often
+        configs = [
+            VerifyConfig(samples=400, seed=3),
+            VerifyConfig(samples=700, n_values=(7, 2), p_values=(2.0, 3.5, math.inf), seed=5),
+            VerifyConfig(samples=250, n_values=(130, 3), p_values=(2.0, 60.0), seed=9),
+        ]
+        serial = [run_suite(cfg).to_dict() for cfg in configs]
+        threaded = [None] * len(configs)
+
+        def run(i):
+            threaded[i] = run_suite(configs[i]).to_dict()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
+
     def test_non_integer_exponent_chain_passes(self):
         # the theory is stated for integer p; the continuum version is
         # checked numerically on the same footing
@@ -196,7 +275,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("strict, failures", [(True, 1), (False, 0)])
     def test_margin_at_threshold_fails_only_when_strict(self, monkeypatch, strict, failures):
-        def check(cfg, n, rng):
+        def check(cfg, n, rng, work):
             yield [0.5, 0.25], 0.25, strict, lambda i: {"i": i}
 
         result = self.run_fake(monkeypatch, check, n_values=(2,))
@@ -204,7 +283,7 @@ class TestDriver:
         assert list(result.counterexamples) == [{"i": 1, "margin": 0.25}] * failures
 
     def test_empty_block_is_neither_counted_nor_worst(self, monkeypatch):
-        def check(cfg, n, rng):
+        def check(cfg, n, rng, work):
             yield np.empty(0), 0.0, False, lambda i: {}
             yield [3.0, 2.0], 0.0, False, lambda i: {}
             yield np.empty((0, n)), 0.0, True, lambda i: {}
@@ -214,17 +293,36 @@ class TestDriver:
         assert result.passed
 
     def test_only_nothing_checked_gives_no_worst_margin(self, monkeypatch):
-        def check(cfg, n, rng):
+        def check(cfg, n, rng, work):
             yield [], 0.0, False, lambda i: {}
 
         result = self.run_fake(monkeypatch, check)
         assert (result.checked, result.worst_margin, result.passed) == (0, None, False)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_nan_margin_fails_and_is_never_the_worst(self, monkeypatch, strict):
+        def check(cfg, n, rng, work):
+            yield [0.5, math.nan, -1.0], 0.0, strict, lambda i: {"i": i}
+            yield [math.nan], 0.0, strict, lambda i: {"i": i}
+
+        result = self.run_fake(monkeypatch, check, n_values=(2,))
+        assert (result.checked, result.failures, result.worst_margin) == (4, 3, -1.0)
+        assert [e["margin"] for e in result.counterexamples] == [None, -1.0, None]
+        assert not result.passed
+        json.dumps(result.to_dict(), allow_nan=False)  # null, never NaN
+
+    def test_only_nan_margins_give_no_worst_margin(self, monkeypatch):
+        def check(cfg, n, rng, work):
+            yield np.full(3, math.nan), 0.0, False, lambda i: {}
+
+        result = self.run_fake(monkeypatch, check, n_values=(2,))
+        assert (result.checked, result.failures, result.worst_margin) == (3, 3, None)
+
     def test_counterexamples_capped_in_yield_order(self, monkeypatch):
         cap = verifier.COUNTEREXAMPLE_CAP
         per_block = cap // 4 + 1  # four blocks overflow the cap, and it falls in the second dimension
 
-        def check(cfg, n, rng):
+        def check(cfg, n, rng, work):
             for block in range(2):
                 margins = -1.0 - np.arange(per_block) - 100 * block - 1000 * n
                 yield margins, 0.0, False, lambda i, block=block: {"n": n, "block": block, "i": i}
