@@ -14,14 +14,10 @@ __version__ = "0.1.0"
 from .core import (
     INFINITY,
     NonNegVector,
-    PowerSum,
     SimplexVector,
-    WeightVector,
     dispersion_constant,
     normalize,
     p_norm,
-    power_sum,
-    shannon_entropy,
 )
 from .fairness import (
     ConeConstraint,
@@ -56,12 +52,8 @@ __all__ = [
     "INFINITY",
     "NonNegVector",
     "SimplexVector",
-    "WeightVector",
-    "PowerSum",
     "p_norm",
     "dispersion_constant",
-    "power_sum",
-    "shannon_entropy",
     "normalize",
     "FairnessSpec",
     "DispersionEntry",

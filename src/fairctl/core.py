@@ -1,16 +1,17 @@
-"""Scalar building blocks: lp norms, dispersion constants, power sums, Shannon entropy.
+"""Building blocks: vector types, parameter checks, dispersion constants and the row kernels.
 
-Everything here is a pure function of immutable vector values, so all
-operations are safe to call concurrently; only a ``_Workspace`` belongs to
-one run at a time. Large exponents are handled by factoring out the largest
-component before powering, which keeps norms accurate for p up to at least
-1e4 without intermediate overflow or underflow.
+The row kernels work along the last axis of one vector or stacked rows: lp norms at
+one exponent or a chain of them, power sums with their p-derivative, Shannon entropy.
+Everything here is a pure function of immutable vector values, so all operations are
+safe to call concurrently; only a ``_Workspace`` belongs to one run at a time. Large
+exponents are handled by factoring out the largest component before powering, which
+keeps norms accurate for p up to at least 1e4 without intermediate overflow or underflow.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -142,17 +143,6 @@ class SimplexVector(NonNegVector):
         return cls(np.full(n, 1.0 / n))
 
 
-class WeightVector(SimplexVector):
-    """Probability weights derived from a power sum: w_i in [0,1], sum(w) = 1."""
-
-    __slots__ = ()
-
-    def _validate(self, arr: np.ndarray) -> None:
-        super()._validate(arr)
-        if np.any(arr > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-
-
 #: Longest row that the row kernels reduce column by column. numpy reduces
 #: slowly along a short last axis; an elementwise ufunc over the columns of
 #: thousands of rows is many times faster. A 1-D vector, or a longer row, is
@@ -232,29 +222,24 @@ def _pnorm_rows(rows: np.ndarray, p, work: _Workspace = _NO_WORKSPACE) -> np.nda
 
     Accepts 1-D vectors or stacked rows; rows must be nonnegative with a
     positive maximum. Supports any real p >= 1 and infinity, or a tuple or
-    list of them: the norms stacked, ``(len(p),) + rows.shape[:-1]``, bit for
-    bit, from one peak and one ratio block.
+    list of them: the norms stacked, ``(len(p),) + rows.shape[:-1]``, from
+    one peak and one ratio block. A single p is a chain of one, unstacked.
     """
     rows = np.asarray(rows, dtype=float)
-    if p == INFINITY:
-        return _row_max(rows)
-    if p == 1.0:
-        return _row_sum(rows)
-    if isinstance(p, (tuple, list)):
-        peak = _row_max(rows, True)
-        ratios = np.divide(rows, peak, out=work.like("ratio", rows))
-        norms = np.empty((len(p),) + rows.shape[:-1])
-        for k, q in enumerate(p):
-            if q == INFINITY or q == 1.0:
-                norms[k] = _pnorm_rows(rows, q)
-            else:  # each p raised into one reused buffer
-                powered = np.power(ratios, q, out=work.like("power", rows))
-                norms[k] = peak[..., 0] * np.power(_row_sum(powered), 1.0 / q)
-        return norms
+    chain = p if isinstance(p, (tuple, list)) else (p,)
+    norms = np.empty((len(chain),) + rows.shape[:-1])
     peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
-    ratios = rows / peak
-    total = _row_sum(np.power(ratios, p))
-    return peak[..., 0] * np.power(total, 1.0 / p)
+    if set(chain) - {1.0, INFINITY}:  # some finite p other than 1 needs the ratio block
+        ratios = np.divide(rows, peak, out=work.like("ratio", rows))
+    for k, q in enumerate(chain):
+        if q == INFINITY:
+            norms[k] = peak[..., 0]
+        elif q == 1.0:
+            norms[k] = _row_sum(rows)
+        else:  # each p raised into one reused buffer
+            powered = np.power(ratios, q, out=work.like("power", rows))
+            norms[k] = peak[..., 0] * np.power(_row_sum(powered), 1.0 / q)
+    return norms if chain is p else norms[0]
 
 
 def p_norm(x: NonNegVector, p: float) -> float:
@@ -276,19 +261,19 @@ def dispersion_constant(n: int, p: float) -> float:
     return float(n) ** (1.0 - 1.0 / p) - 1.0
 
 
-class PowerSum(NamedTuple):
-    """Value, p-derivative, and normalized weights of sum_i x_i^p."""
-
-    value: float
-    derivative: float
-    weights: WeightVector
-
-
 def _log_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """ln x into out, with 0 where x is not positive, so that the terms 0 ln 0 vanish."""
     out.fill(1.0)
     np.copyto(out, rows, where=rows > 0)
     return np.log(out, out=out)
+
+
+def _powered_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE):
+    """x_i^p in the "power" slot and its sum along the last axis, kept as an axis of length one."""
+    powered = work.like("power", rows)
+    powered[...] = rows
+    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
+    return powered, _row_sum(powered, keepdims=True)
 
 
 def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE, logs=None):
@@ -297,10 +282,7 @@ def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE
     Along the last axis, for a 1-D vector or stacked rows; terms with x_i = 0 contribute 0 to
     the derivative (0 * ln 0 = 0). ``logs`` may bring ``_log_rows(rows)``, made once for all p.
     """
-    powered = work.like("power", rows)
-    powered[...] = rows
-    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
-    value = _row_sum(powered, keepdims=True)
+    powered, value = _powered_rows(rows, p, work)
     product = work.like("ratio", rows)
     if logs is None:
         logs = _log_rows(rows, product)
@@ -308,28 +290,10 @@ def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE
     return value[..., 0], derivative, np.divide(powered, value, out=powered)
 
 
-def power_sum(x: SimplexVector, p: float) -> PowerSum:
-    """sum_i x_i^p together with its derivative in p and the weights x_i^p / sum.
-
-    Terms with x_i = 0 contribute 0 to the derivative (0 * ln 0 = 0).
-    Requires finite p >= 2.
-    """
-    p = check_exponent(p)
-    if math.isinf(p):
-        raise ValueError("power_sum requires a finite exponent")
-    value, derivative, weights = _power_sum_rows(x.values, p)
-    return PowerSum(float(value), float(derivative), WeightVector(weights))
-
-
 def _shannon_rows(w: np.ndarray, work: _Workspace = _NO_WORKSPACE) -> np.ndarray:
     """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention; "ratio" slot is scratch."""
     product = _log_rows(w, work.like("ratio", w))
     return -_row_sum(np.multiply(w, product, out=product))
-
-
-def shannon_entropy(w: WeightVector) -> float:
-    """-sum w_i ln w_i with the 0 ln 0 = 0 convention; lies in [0, ln n]."""
-    return float(_shannon_rows(w.values))
 
 
 def normalize(x: NonNegVector) -> SimplexVector:

@@ -9,11 +9,11 @@ probability simplex, where it becomes the lp-ball condition
 ||x||_p <= 1 / (1 + eps * D_p). eps = 0 is vacuous, eps = 1 pins x to the
 uniform point e/n.
 
-Each formula has one implementation: a kernel along the last axis that
-takes one vector or stacked (k, n) rows (``_eps_rows``, ``_member_rows``,
-``_cv2_rows``, ``_cv_bound_rows``). The public scalar functions validate
-their input and call it; ``dispersion_report`` assesses all rows of an
-array in one call, and the verifier calls the kernels directly.
+Each formula has one implementation, written on the rows' norms along the
+last axis: ``_threshold_rows``, ``_member_rows``, ``_cv2_rows`` and, of eps,
+``_cv_bound_rows``. Each use takes its norms from one ``_pnorm_rows`` call:
+the scalar functions for one vector, ``dispersion_report`` for all rows of
+an array at every exponent, and ``_eps_rows`` for a verifier sample block.
 """
 
 from __future__ import annotations
@@ -64,22 +64,22 @@ class FairnessSpec:
         object.__setattr__(self, "p", check_exponent(self.p))
 
 
-def _eps_rows(rows: np.ndarray, p, work=_NO_WORKSPACE) -> np.ndarray:
-    """eps_max (1 - ||x||_p) / (D_p ||x||_p) along the last axis of simplex rows.
+def _threshold_rows(t, n: int, p: float):
+    """eps_max (1 - t) / (D_p t) of simplex rows with p-norms t; clamped if within EPS_CLAMP_TOL of [0, 1]."""
+    eps = (1.0 - t) / (dispersion_constant(n, p) * t)
+    overshoot = max(float(-np.min(eps, initial=0.0)), float(np.max(eps, initial=1.0) - 1.0))
+    if overshoot > EPS_CLAMP_TOL:
+        raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
+    return np.clip(eps, 0.0, 1.0)
 
-    Round-off excursions outside [0, 1] of at most EPS_CLAMP_TOL are
-    clamped; anything larger raises. A tuple or list of exponents stacks them as ``_pnorm_rows`` does.
-    """
-    chain = isinstance(p, (tuple, list))
-    vals = np.reshape(_pnorm_rows(rows, p, work), (-1,) + rows.shape[:-1])  # thresholds replace norms
-    for k, q in enumerate(p if chain else (p,)):
-        d = dispersion_constant(rows.shape[-1], q)
-        vals[k] = (1.0 - vals[k]) / (d * vals[k])
-        overshoot = max(float(-vals[k].min(initial=0.0)), float(vals[k].max(initial=1.0) - 1.0))
-        if overshoot > EPS_CLAMP_TOL:
-            raise ValueError(f"threshold excursion {overshoot!r} exceeds round-off window")
-    np.clip(vals, 0.0, 1.0, out=vals)
-    return vals if chain else vals[0]
+
+def _eps_rows(rows: np.ndarray, p, work=_NO_WORKSPACE) -> np.ndarray:
+    """eps_max along the last axis of simplex rows; a chain of exponents stacks them as ``_pnorm_rows`` does."""
+    chain = p if isinstance(p, (tuple, list)) else (p,)
+    vals = _pnorm_rows(rows, chain, work)  # thresholds replace norms
+    for k, q in enumerate(chain):
+        vals[k] = _threshold_rows(vals[k], rows.shape[-1], q)
+    return vals if chain is p else vals[0]
 
 
 def eps_max(x: SimplexVector, p: float) -> float:
@@ -92,10 +92,9 @@ def eps_max(x: SimplexVector, p: float) -> float:
     return float(_eps_rows(x.values, check_exponent(p)))
 
 
-def _member_rows(rows: np.ndarray, eps: float, p: float, tol: float) -> np.ndarray:
-    """(1 + eps D_p) ||x||_p <= ||x||_1 (1 + tol) along the last axis."""
-    d = dispersion_constant(rows.shape[-1], p)
-    return (1.0 + eps * d) * _pnorm_rows(rows, p) <= _pnorm_rows(rows, 1.0) * (1.0 + tol)
+def _member_rows(t, l1, n: int, eps, p: float, tol: float):
+    """(1 + eps D_p) ||x||_p <= ||x||_1 (1 + tol), from the rows' p-norms t and 1-norms l1."""
+    return (1.0 + eps * dispersion_constant(n, p)) * t <= l1 * (1.0 + tol)
 
 
 def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -103,13 +102,13 @@ def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) ->
 
     The tolerance is relative, so the verdict is identical for x and t*x.
     """
-    return bool(_member_rows(x.values, spec.epsilon, spec.p, tol))
+    t, l1 = _pnorm_rows(x.values, (spec.p, 1.0))
+    return bool(_member_rows(t, l1, x.n, spec.epsilon, spec.p, tol))
 
 
-def _cv2_rows(rows: np.ndarray, work=_NO_WORKSPACE) -> np.ndarray:
-    """Squared CV n ||x||_2^2 - 1 along the last axis of simplex rows."""
-    t = _pnorm_rows(rows, (2.0,), work)[0]
-    return rows.shape[-1] * (t * t) - 1.0
+def _cv2_rows(t, n: int):
+    """Squared CV n ||x||_2^2 - 1 of simplex rows whose 2-norms are t."""
+    return n * (t * t) - 1.0
 
 
 def coefficient_of_variation(x: SimplexVector) -> float:
@@ -118,7 +117,7 @@ def coefficient_of_variation(x: SimplexVector) -> float:
     This is the algebraic form of (std / mean) with mean fixed at 1/n by the
     simplex constraint.
     """
-    return math.sqrt(max(float(_cv2_rows(x.values)), 0.0))
+    return math.sqrt(max(float(_cv2_rows(_pnorm_rows(x.values, 2.0), x.n)), 0.0))
 
 
 def _cv_bound_rows(n: int, p: float, eps):
@@ -226,16 +225,17 @@ def dispersion_report(
         total = x.sum(axis=-1, keepdims=True)
     y = x / total
     n = y.shape[-1]
+    l1, l2, *norms = _pnorm_rows(y, [1.0, 2.0] + [spec.p for spec in specs])
     return DispersionReport(
-        cv=np.sqrt(np.maximum(_cv2_rows(y), 0.0)),
+        cv=np.sqrt(np.maximum(_cv2_rows(l2, n), 0.0)),
         mean=y.mean(axis=-1),
         per_p=tuple(
             DispersionEntry(
                 p=spec.p,
-                eps_max=_eps_rows(y, spec.p),
-                member=_member_rows(y, spec.epsilon, spec.p, tol),
+                eps_max=_threshold_rows(t, n, spec.p),
+                member=_member_rows(t, l1, n, spec.epsilon, spec.p, tol),
                 cv_bound=float(_cv_bound_rows(n, spec.p, spec.epsilon)),
             )
-            for spec in specs
+            for spec, t in zip(specs, norms)
         ),
     )

@@ -27,6 +27,7 @@ from .core import (
     _log_rows,
     _pnorm_rows,
     _power_sum_rows,
+    _powered_rows,
     _row_max,
     _row_sum,
     _shannon_rows,
@@ -216,7 +217,7 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
 def _check_cv_bound(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
     X = _sample_rows(n, cfg.samples, rng, work=work)
-    cv2 = _cv2_rows(X, work)
+    cv2 = _cv2_rows(_pnorm_rows(X, 2.0, work), n)
     for p, eps in zip(cfg.p_values, _eps_rows(X, cfg.p_values, work)):
         bound = _cv_bound_rows(n, p, eps)
         yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
@@ -305,7 +306,8 @@ def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
     X = _sample_rows(n, cfg.samples, rng, work=work)
     for p, t in zip(_finite_ps(cfg), _pnorm_rows(X, _finite_ps(cfg), work)):
-        entropy = _shannon_rows(_power_sum_rows(X, p, work)[2], work)
+        powered, total = _powered_rows(X, p, work)  # the weights alone: no ln x, no derivative
+        entropy = _shannon_rows(np.divide(powered, total, out=powered), work)
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         upper = -(p / (p - 1.0)) * np.log(t)
         yield upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)

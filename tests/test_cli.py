@@ -179,6 +179,26 @@ class TestBatchedRows:
                 verdicts.add(entry["member"])
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize(
+        "command, status, digest",
+        [
+            (["check", "--eps", "0.45"], 1, "020094be1ba48c4f54d3adc41e3c2f69450d3af9bd5e0fa593d65060eef1ab99"),
+            (["epsmax"], 0, "3e0ca2ec751bd41dec4d10b43c53caef9f2a5d75e46e9269e8ed0567639e6126"),
+        ],
+    )
+    def test_report_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, command, status, digest):
+        # dense, sparse, near-uniform, nine-decade, vertex and uniform rows and
+        # one whose sum overflows, at an unsorted chain with a repeated
+        # exponent; the report echoes --input, so it is the same path from the
+        # repository root wherever the tests run
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, *command, "--p", "4,2,inf,2", "--input", "tests/data/dispersion.csv", "--out", str(out)
+        )
+        assert code == status
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestProject:
     def test_projects_vertex(self, capsys, tmp_path):

@@ -9,15 +9,13 @@ from fairctl import (
     INFINITY,
     NonNegVector,
     SimplexVector,
-    WeightVector,
     dispersion_constant,
     normalize,
     p_norm,
-    power_sum,
-    shannon_entropy,
 )
 
 from fairctl.core import (
+    SIMPLEX_SUM_TOL,
     _log_rows,
     _pnorm_rows,
     _power_sum_rows,
@@ -77,11 +75,6 @@ class TestVectorTypes:
     def test_uniform_constructor(self):
         u = SimplexVector.uniform(4)
         assert u.values.tolist() == [0.25] * 4
-
-    def test_weight_vector_bounds(self):
-        WeightVector([0.25, 0.75])
-        with pytest.raises(ValueError):
-            WeightVector([1.5, -0.5])
 
 
 # ----------------------------------------------------------------- p_norm
@@ -227,6 +220,16 @@ def workspaces(x):
     return [{}, {"work": _Workspace(x.size)}, {"work": _Workspace(1)}]
 
 
+def reference_pnorm(rows, p):
+    """One exponent's norm as plain numpy expressions: the max, the sum, or the max-factored power sum."""
+    if p == INFINITY:
+        return rows.max(axis=-1)
+    if p == 1.0:
+        return _row_sum(rows)
+    peak = rows.max(axis=-1, keepdims=True)
+    return peak[..., 0] * np.power(_row_sum((rows / peak) ** p), 1.0 / p)  # numpy's pow, not a scalar's
+
+
 def reference_power_sum(rows, p):
     """The power-sum kernel as plain numpy expressions, with fresh temporaries and ln x per call."""
     powered = rows**p
@@ -263,12 +266,16 @@ class TestChainKernels:
     def test_chain_is_the_stack_of_single_exponents(self, seed, rows, n, profile, order, ps):
         x = kernel_rows(seed, rows, n, profile, order)
         with np.errstate(all="ignore"):  # an all-zero row reads 0/0 in both forms
-            expected = np.stack([_pnorm_rows(x, p) for p in ps])
-            for form in (ps, tuple(ps)):
-                for work in workspaces(x):
+            expected = np.stack([reference_pnorm(x, p) for p in ps])
+            for work in workspaces(x):
+                for form in (ps, tuple(ps)):
                     stacked = _pnorm_rows(x, form, **work)
                     assert stacked.shape == (len(ps),) + x.shape[:-1]
                     assert np.array_equal(bits(stacked), bits(expected))
+                for p, norm in zip(ps, expected):  # a single exponent is a chain of one, unstacked
+                    single = _pnorm_rows(x, p, **work)
+                    assert np.shape(single) == x.shape[:-1]
+                    assert np.array_equal(bits(single), bits(norm))
 
     @settings(max_examples=150)
     @given(*kernel_inputs, st.sampled_from([2.0, 3.0, 3.5, 10.0, 60.0, 1000.0]))
@@ -329,31 +336,27 @@ class TestDispersionConstant:
             dispersion_constant(1, 2)
 
 
-# -------------------------------------------------------------- power_sum
+# ------------------------------------------------------------ power sums
 
 
 class TestPowerSum:
     def test_two_point_example(self):
-        total, deriv, w = power_sum(SimplexVector([0.5, 0.5]), 2)
+        total, deriv, w = _power_sum_rows(np.array([0.5, 0.5]), 2.0)
         assert total == pytest.approx(0.5, abs=1e-15)
         assert deriv == pytest.approx(0.5 * math.log(0.5), abs=1e-15)
-        np.testing.assert_allclose(w.values, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_vertex_uses_zero_log_zero_convention(self):
-        total, deriv, w = power_sum(SimplexVector([1.0, 0.0, 0.0]), 3)
+        total, deriv, w = _power_sum_rows(np.array([1.0, 0.0, 0.0]), 3.0)
         assert total == 1.0
         assert deriv == 0.0
-        np.testing.assert_array_equal(w.values, [1.0, 0.0, 0.0])
-
-    def test_rejects_infinite_p(self):
-        with pytest.raises(ValueError):
-            power_sum(SimplexVector([0.5, 0.5]), INFINITY)
+        np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
 
     @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.1, 60.0))
     def test_derivative_matches_finite_difference(self, vals, p):
         x = simplex(vals)
-        _, deriv, _ = power_sum(x, p)
+        _, deriv, _ = _power_sum_rows(x.values, p)
         fd = oracles.fd_power_sum_derivative(x.values, p)
         # 1e-10 floor: the centered difference itself carries ~eps/(2h)
         # of cancellation noise, which dominates when the derivative is tiny
@@ -365,22 +368,23 @@ class TestPowerSum:
 
 class TestEntropies:
     def test_uniform_maximizes_shannon(self):
-        w = WeightVector([0.25] * 4)
-        assert shannon_entropy(w) == pytest.approx(math.log(4), abs=1e-12)
+        w = np.array([0.25] * 4)
+        assert _shannon_rows(w) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_degenerate_shannon_is_zero(self):
-        assert shannon_entropy(WeightVector([1.0, 0.0, 0.0])) == 0.0
+        assert _shannon_rows(np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_half_half_with_zeros(self):
-        w = WeightVector([0.5, 0.5, 0.0, 0.0])
-        assert shannon_entropy(w) == pytest.approx(math.log(2), abs=1e-12)
+        w = np.array([0.5, 0.5, 0.0, 0.0])
+        assert _shannon_rows(w) == pytest.approx(math.log(2), abs=1e-12)
 
     @settings(max_examples=60)
     @given(positive_vectors, st.floats(2.0, 64.0))
     def test_entropy_sandwich(self, vals, p):
         x = simplex(vals)
-        _, _, w = power_sum(x, p)
-        h = shannon_entropy(w)
+        _, _, w = _power_sum_rows(x.values, p)
+        assert abs(w.sum() - 1.0) <= SIMPLEX_SUM_TOL and w.max() <= 1.0  # what WeightVector checked
+        h = _shannon_rows(w)
         assert h >= -1e-12
         assert h <= -(p / (p - 1.0)) * math.log(p_norm(x, p)) + 1e-10
 
@@ -388,16 +392,17 @@ class TestEntropies:
     @given(positive_vectors, st.floats(2.0, 50.0))
     def test_entropy_identity(self, vals, p):
         x = simplex(vals)
-        total, deriv, w = power_sum(x, p)
+        total, deriv, w = _power_sum_rows(x.values, p)
+        assert abs(w.sum() - 1.0) <= SIMPLEX_SUM_TOL and w.max() <= 1.0
         lhs = math.log(total) - p * deriv / total
-        assert abs(lhs - shannon_entropy(w)) <= 1e-9
+        assert abs(lhs - _shannon_rows(w)) <= 1e-9
 
     def test_entropy_identity_with_zero_components(self):
         x = SimplexVector([0.5, 0.3, 0.2, 0.0])
         for p in (2.0, 3.0, 17.0):
-            total, deriv, w = power_sum(x, p)
+            total, deriv, w = _power_sum_rows(x.values, p)
             lhs = math.log(total) - p * deriv / total
-            assert abs(lhs - shannon_entropy(w)) <= 1e-9
+            assert abs(lhs - _shannon_rows(w)) <= 1e-9
 
 
 # -------------------------------------------------------------- normalize

@@ -17,6 +17,8 @@ from fairctl import (
     eps_max,
     is_fair,
 )
+from fairctl import fairness
+from fairctl.core import _pnorm_rows
 from fairctl.fairness import _member_rows
 
 import oracles
@@ -185,7 +187,8 @@ class TestLinearSystem:
         coeff = 1.0 + (n - 1) * eps
         total = X.sum(axis=1)
         system_verdict = (coeff[:, None] * X <= total[:, None]).all(axis=1)
-        fair_verdict = _member_rows(X, eps, INFINITY, 0.0)
+        t, l1 = _pnorm_rows(X, (INFINITY, 1.0))
+        fair_verdict = _member_rows(t, l1, n, eps, INFINITY, 0.0)
         disagree = system_verdict != fair_verdict
         # any disagreement must sit within 1e-12 of the constraint boundary
         boundary_gap = np.abs(coeff * X.max(axis=1) - total)
@@ -285,6 +288,19 @@ class TestDispersionReport:
         assert [e.p for e in report.per_p] == [2.0, INFINITY]
         np.testing.assert_array_equal(report.per_p[1].eps_max, [1.0 / 3.0, 1.0, 0.0])
         np.testing.assert_array_equal(report.per_p[1].member, [True, True, False])
+
+    def test_every_norm_comes_from_one_kernel_call(self, monkeypatch):
+        chains = []
+
+        def counted(rows, p, *args):
+            chains.append(p)
+            return _pnorm_rows(rows, p, *args)
+
+        monkeypatch.setattr(fairness, "_pnorm_rows", counted)
+        rows = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        report = dispersion_report(rows, [4, 2, INFINITY, 2], eps=0.3)
+        assert len(chains) == 1
+        assert [e.p for e in report.per_p] == [2.0, 2.0, 4.0, INFINITY]
 
     def test_row_whose_sum_overflows_is_scaled_and_others_keep_their_bits(self):
         rows = np.array([[0.5, 0.25, 0.25], [1e308, 1e308, 1.0], [1.0, 2.0, 3.0]])
