@@ -100,48 +100,52 @@ def _eps_grid(text: str) -> list[float]:
 def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.ndarray:
     """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments.
 
-    Lines are parsed into float lists, up to the first line whose shape is
-    wrong, and their entries are checked as one array. Every error names
-    the first bad line in file order, and within a line a bad entry comes
-    before a bad shape. With positive, a row needs a positive entry.
+    The file is read as UTF-8; a leading byte-order mark is dropped, and a
+    file that cannot be opened or decoded is named by its path. Its data
+    lines are joined, all their entries go through one float map, and the
+    rows are checked as one array. Row widths come from comma counts. Only
+    a bad file is searched for its first bad line, from the widths and the
+    entry where the parse stopped. Every error names the first bad line in
+    file order, and within a line a bad entry comes before a bad shape.
+    With positive, a row needs a positive entry.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = [line.strip() for line in handle.read().split("\n")]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}")
-    rows: list[list[float]] = []
-    linenos: list[int] = []
-    shape_error = None  # (line number, message, its values if it parsed)
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        try:
-            values = [float(tok) for tok in text.split(",")]
-        except ValueError:
-            shape_error = (lineno, "malformed CSV row", None)
-            break
-        if len(values) < 2:
-            shape_error = (lineno, "vectors need at least 2 entries", values)
-            break
-        if rows and len(values) != len(rows[0]):
-            message = f"inconsistent dimension {len(values)} (expected {len(rows[0])})"
-            shape_error = (lineno, message, values)
-            break
-        rows.append(values)
-        linenos.append(lineno)
-    array = np.array(rows, dtype=float)
-    found = _row_fault(array, nonneg, positive) if rows else None
-    if found is not None:
-        raise ValueError(f"{path}:{linenos[found[0]]}: {found[1]}")
-    if shape_error is not None:
-        lineno, message, values = shape_error
-        found = None if values is None else _row_fault(np.array(values), nonneg, positive)
-        raise ValueError(f"{path}:{lineno}: {message if found is None else found[1]}")
-    if not rows:
+    data = [line for line in lines if line and line[0] != "#"]
+    if not data:
         raise ValueError(f"{path}: no vectors found")
-    return array
+    widths = [line.count(",") + 1 for line in data]
+    n = widths[0]
+    bad, message = len(data), None  # the first bad data line, if any, and what is wrong with it
+    if n < 2 or widths.count(n) != len(data):
+        bad = next(k for k, width in enumerate(widths) if width < 2 or width != n)
+        width = widths[bad]
+        message = "vectors need at least 2 entries" if width < 2 else f"inconsistent dimension {width} (expected {n})"
+    tokens = ",".join(data[: bad + 1]).split(",")
+    try:
+        flat = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        for first, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                break
+        # every line before the first of a wrong shape holds n entries
+        bad, message = min(first // n, bad), "malformed CSV row"
+        flat = np.fromiter(map(float, tokens[: bad * n]), float, bad * n)
+    rows = flat[: bad * n].reshape(bad, n)
+    fault = _row_fault(rows, nonneg, positive)
+    if fault is None and message is not None:
+        # a shape error, unless the line's own entries, when they all parsed, break a rule first
+        own = _row_fault(flat[bad * n :], nonneg, positive) if flat.size > bad * n else None
+        fault = bad, message if own is None else own[1]
+    if fault is not None:
+        linenos = [k for k, line in enumerate(lines, start=1) if line and line[0] != "#"]
+        raise ValueError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
+    return rows
 
 
 def _read_objective(path: str) -> ObjectiveSpec:

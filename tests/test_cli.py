@@ -17,6 +17,7 @@ import fairctl
 from fairctl import __version__
 from fairctl import cli
 from fairctl.cli import MAX_GRID_POINTS, main
+from fairctl.core import _row_fault
 
 import oracles
 
@@ -810,3 +811,124 @@ class TestJsonWriter:
         code, out, err = run(capsys, *argv, "--p", "2,inf", "--input", path)
         assert (code, out) == (2, "")
         assert "not JSON compliant: nan" in err
+
+
+def _reference_read_rows(path, nonneg=True, positive=False):
+    """The line-by-line reader that _read_rows replaced, kept as the reference for its results and messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}")
+    rows = []
+    linenos = []
+    shape_error = None  # (line number, message, its values if it parsed)
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            values = [float(tok) for tok in text.split(",")]
+        except ValueError:
+            shape_error = (lineno, "malformed CSV row", None)
+            break
+        if len(values) < 2:
+            shape_error = (lineno, "vectors need at least 2 entries", values)
+            break
+        if rows and len(values) != len(rows[0]):
+            message = f"inconsistent dimension {len(values)} (expected {len(rows[0])})"
+            shape_error = (lineno, message, values)
+            break
+        rows.append(values)
+        linenos.append(lineno)
+    array = np.array(rows, dtype=float)
+    found = _row_fault(array, nonneg, positive) if rows else None
+    if found is not None:
+        raise ValueError(f"{path}:{linenos[found[0]]}: {found[1]}")
+    if shape_error is not None:
+        lineno, message, values = shape_error
+        found = None if values is None else _row_fault(np.array(values), nonneg, positive)
+        raise ValueError(f"{path}:{lineno}: {message if found is None else found[1]}")
+    if not rows:
+        raise ValueError(f"{path}: no vectors found")
+    return array
+
+
+def _read_outcome(read, path, nonneg, positive):
+    try:
+        rows = read(path, nonneg, positive)
+    except ValueError as exc:
+        return str(exc)
+    return rows.dtype, rows.shape, rows.strides, rows.flags.c_contiguous, rows.tobytes()
+
+
+# whitespace that str.strip removes but that does not end a line of a text file
+_blank = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028"), max_size=3)
+_valid_entry = st.sampled_from(["0", "1", "2.5", "1e-300", "1.7e308", " 7 ", "\x0c3", "4\u2028", "1_0"])
+_entry = st.one_of(
+    _valid_entry,
+    _valid_entry,
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.sampled_from(["", "nan", "-nan", "inf", "-inf", "-1", "-0", "0x1", "oops", "1e999"]),
+)
+_comment = st.text(st.characters(exclude_characters="\r\n"), max_size=6).map("#".__add__)
+_line_kinds = st.sampled_from(["row", "row", "row", "ragged", "zero", "comment", "blank"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Texts of rows of one width, ragged rows, zero rows, comments and blank or whitespace-only lines,
+    each line ended by LF, CRLF or a lone CR, the last ones maybe by nothing."""
+    n = draw(st.sampled_from([1, 2, 3, 3, 4]))
+    text = ""
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(_line_kinds)
+        width = draw(st.integers(1, 5)) if kind == "ragged" else n
+        if kind in ("row", "ragged"):
+            body = ",".join(draw(_entry) for _ in range(width))
+        else:
+            body = {"zero": ",".join(["0"] * n), "comment": draw(_comment), "blank": ""}[kind]
+        text += draw(_blank) + body + draw(_blank) + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+class TestReadRows:
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("read") / "rows.csv"
+
+    @settings(max_examples=400)
+    @given(text=_csv_texts())
+    def test_same_rows_or_message_as_the_line_reader(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        path = str(csv_path)
+        # (nonneg, positive) of check and epsmax, of project, and of an objective
+        for mode in [(True, True), (True, False), (False, False)]:
+            assert _read_outcome(cli._read_rows, path, *mode) == _read_outcome(_reference_read_rows, path, *mode)
+
+    @pytest.mark.parametrize(
+        "source, argv",
+        [("--input", ("check", "--eps", "0.5", "--p", "2")), ("--objective", ("solve", "--eps", "0.5", "--p", "2"))],
+        ids=["check", "solve"],
+    )
+    def test_undecodable_file_is_named(self, capsys, tmp_path, source, argv):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1,2,3\n\xff,4,5\n")
+        code, out, err = run(capsys, *argv, source, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"fairctl: error: cannot read {str(path)!r}: ")
+        assert "can't decode byte 0xff" in err
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, monkeypatch):
+        # the report echoes --input, so both files are read by the same relative name
+        original = Path(__file__).resolve().parent / "data" / "dispersion.csv"
+        reports = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            folder = tmp_path / f"bom{len(prefix)}"
+            folder.mkdir()
+            (folder / "dispersion.csv").write_bytes(prefix + original.read_bytes())
+            monkeypatch.chdir(folder)
+            code, out, err = run(capsys, "check", "--eps", "0.45", "--p", "4,2,inf,2", "--input", "dispersion.csv")
+            assert (code, err) == (1, "")
+            reports.append(out)
+        assert reports[0] == reports[1]
