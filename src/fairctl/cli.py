@@ -163,93 +163,52 @@ def _document(command: str, inputs: dict, results: dict, seed: int | None = None
     return doc
 
 
-#: json.dumps's own C string encoder, and the cache key of a list item's prefix
-_encode = json.encoder.encode_basestring_ascii
-_ITEM = object()
-
-
-def _scalar(value) -> str:
-    """A str, None, bool, int or float as json.dumps writes it, tried in json's isinstance order."""
-    if isinstance(value, str):
-        return _encode(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, float):
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write(value, out: list[str], nl: str, prefixes: dict) -> None:
-    """Append the JSON text of a dict, list or tuple to out; nl is a newline and its line's indent.
-
-    prefixes caches ',<nl>  "key": ' per indent, for str keys only: 1, 1.0 and True are one key.
-    A _Table item writes itself.
-    """
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not value:
-        out.append(brackets)
-        return
-    inner = nl + "  "
-    cache = prefixes.get(inner) or prefixes.setdefault(inner, {_ITEM: "," + inner})
-    out.append(brackets[0])
-    start = len(out)
-    for key, item in value.items() if brackets == "{}" else zip(itertools.repeat(_ITEM), value):
-        prefix = cache.get(key)
-        if prefix is None:
-            prefix = "," + inner + _encode(key if isinstance(key, str) else _scalar(key)) + ": "
-            if isinstance(key, str):
-                cache[key] = prefix
-        kind = type(item)  # exact builtins are written here, anything else by _scalar or recursion
-        if kind is float and math.isfinite(item) or kind is int:
-            out.append(prefix + repr(item))
-        elif kind is str:
-            out.append(prefix + _encode(item))
-        elif kind is bool:
-            out.append(prefix + ("true" if item else "false"))
-        elif kind is dict or kind is list or isinstance(item, (list, tuple, dict)):
-            out.append(prefix)
-            _write(item, out, inner, prefixes)
-        elif kind is _Table:
-            out.append(prefix)
-            item.write(out, inner)
-        else:
-            out.append(prefix + _scalar(item))
-    out[start] = out[start][1:]  # the first item has no comma
-    out.append(nl + brackets[1])
-
-
-#: A varying place in a _Table's sample row; no key or constant of a row holds it, so its JSON text marks the %s fields
+#: A varying place in a _Table's sample row, or a _Table's place in a report. Its JSON text marks those
+#: places: no report that holds a table holds this string, since argv cannot carry a NUL and open
+#: refuses a path with one before any report is written
 _SLOT = "\x00"
+_SLOT_TEXT = json.dumps(_SLOT)
 _BOOL_TEXT = ("false", "true")
 
 
-def _column(values) -> list | range:
-    """A range, or a float or bool array, as a list whose items' %s text is their JSON text."""
+def _splice(text: str, fills: list, out: list[str]) -> None:
+    """Append text to out with its i-th _SLOT replaced by fills[i](out, nl); nl is a newline and that line's indent."""
+    pieces = text.split(_SLOT_TEXT)
+    out.append(pieces[0])
+    for fill, before, piece in zip(fills, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]  # every place starts a line's value, after its indent
+        fill(out, "\n" + " " * (len(line) - len(line.lstrip(" "))))
+        out.append(piece)
+
+
+def _columns(values) -> list:
+    """A range, or an int, float or bool array of k rows, as lists of k items whose %s text is their JSON text.
+
+    A (k, m) array is m such lists, one per column.
+    """
     if isinstance(values, range):
-        return values
+        return [values]
     if values.dtype == bool:
-        return [_BOOL_TEXT[v] for v in values.tolist()]
+        return [[_BOOL_TEXT[v] for v in values.tolist()]]
     finite = np.isfinite(values)
     if not finite.all():
-        _scalar(float(values[~finite][0]))  # raises json's ValueError
-    return values.tolist()
+        _json_text(values[~finite].tolist())  # raises json's ValueError, which names the value
+    return [values.tolist()] if values.ndim == 1 else values.T.tolist()
 
 
 class _Table:
     """A JSON list of k dicts that differ only in some leaves, written from one %-template.
 
-    row is the dict with each varying leaf given as its column: a range or a
-    1-D float or bool array of k >= 1 values. _write writes one row with
-    _SLOT in those places, in the order it visits them, and fills that
-    text's template for all k rows in one % operation.
+    row is the dict with each varying leaf given as its column: a range, a
+    1-D int, float or bool array of k >= 1 values, or a (k, m >= 1) float
+    array whose rows are list leaves. json.dumps writes the row with _SLOT
+    in those places, each place becomes one %s, or m of them in a list, and
+    one % operation fills the template for all k rows.
     """
 
     def __init__(self, row: dict):
         self.columns: list = []
+        self.widths: list = []  # per place: None for a scalar, m for a list of m
         self.row = self._sample(row)
 
     def _sample(self, value):
@@ -258,26 +217,43 @@ class _Table:
         if isinstance(value, list):
             return [self._sample(item) for item in value]
         if isinstance(value, (range, np.ndarray)):
-            self.columns.append(_column(value))
+            columns = _columns(value)
+            self.columns += columns
+            self.widths.append(None if isinstance(value, range) or value.ndim == 1 else len(columns))
             return _SLOT
         return value
 
+    @staticmethod
+    def _place(width, out: list[str], nl: str) -> None:
+        inner = nl + "  "
+        out.append("%s" if width is None else "[" + inner + ("," + inner).join(["%s"] * width) + nl + "]")
+
     def write(self, out: list[str], nl: str) -> None:
         inner = nl + "  "
-        sample: list[str] = []
-        _write(self.row, sample, inner, {})
-        template = "".join(sample).replace("%", "%%").replace(_encode(_SLOT), "%s")
+        # json escapes a newline inside a string, so each "\n" ends a line of the sample
+        sample = json.dumps(self.row, indent=2, allow_nan=False).replace("\n", inner).replace("%", "%%")
+        template: list[str] = []
+        _splice(sample, [functools.partial(self._place, width) for width in self.widths], template)
         values = tuple(itertools.chain.from_iterable(zip(*self.columns)))
-        rows = ("," + inner).join([template] * len(self.columns[0])) % values
+        rows = ("," + inner).join(["".join(template)] * len(self.columns[0])) % values
         out += ["[", inner, rows, nl, "]"]
 
 
 def _json_text(value) -> str:
-    """The text of json.dumps(value, indent=2, allow_nan=False), from one walk of value."""
-    if not isinstance(value, (dict, list, tuple)):
-        return _scalar(value)
+    """json.dumps(value, indent=2, allow_nan=False), with each _Table written at its place."""
+    tables: list[_Table] = []
+
+    def place(item):
+        if not isinstance(item, _Table):
+            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+        tables.append(item)
+        return _SLOT
+
+    text = json.dumps(value, indent=2, allow_nan=False, default=place)
+    if not tables:  # a report without a table may hold the string _SLOT itself
+        return text
     out: list[str] = []
-    _write(value, out, "\n", {})
+    _splice(text, [table.write for table in tables], out)
     return "".join(out)
 
 
@@ -290,7 +266,7 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    """Write doc as 2-space-indented, ASCII-escaped JSON, the bytes of json.dumps(indent=2); NaN or inf: exit 2."""
+    """Write doc as json.dumps(doc, indent=2) writes it, its tables included; NaN or inf: exit 2."""
     text = _json_text(doc) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -351,21 +327,17 @@ def _cmd_epsmax(args) -> tuple[dict, int]:
 
 def _cmd_project(args) -> tuple[dict, int]:
     spec = FairnessSpec(args.eps, args.p)
-    rows = _read_rows(args.input)
-    results = []
-    all_converged = True
-    for index, row in enumerate(rows):
-        res = project_fair_region(row, spec, tol=args.tol, max_iter=args.max_iter)
-        all_converged = all_converged and res.converged
-        results.append(
-            {
-                "index": index,
-                "point": res.point.values.tolist(),
-                "iterations": res.iterations,
-                "residual": res.residual,
-                "converged": res.converged,
-            }
-        )
+    results = [project_fair_region(row, spec, tol=args.tol, max_iter=args.max_iter) for row in _read_rows(args.input)]
+    converged = np.array([res.converged for res in results])
+    points = _Table(
+        {
+            "index": range(len(results)),
+            "point": np.array([res.point.values for res in results]),
+            "iterations": np.array([res.iterations for res in results]),
+            "residual": np.array([res.residual for res in results]),
+            "converged": converged,
+        }
+    )
     doc = _document(
         "project",
         {
@@ -375,9 +347,9 @@ def _cmd_project(args) -> tuple[dict, int]:
             "tol": args.tol,
             "max_iter": args.max_iter,
         },
-        {"points": results},
+        {"points": points},
     )
-    return doc, 0 if all_converged else 1
+    return doc, 0 if converged.all() else 1
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
@@ -409,23 +381,19 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_sweep(args) -> tuple[dict, int]:
     obj = _read_objective(args.objective)
     points = pareto_sweep(obj, args.p, eps_grid=args.eps_grid)
-    rows = [
+    converged = np.array([pt.converged for pt in points])
+    rows = _Table(
         {
-            "epsilon": pt.epsilon,
-            "objective": pt.objective_value,
-            "cv": pt.cv,
-            "cv_bound": pt.cv_bound,
-            "converged": pt.converged,
+            "epsilon": np.array([pt.epsilon for pt in points]),
+            "objective": np.array([pt.objective_value for pt in points]),
+            "cv": np.array([pt.cv for pt in points]),
+            "cv_bound": np.array([pt.cv_bound for pt in points]),
+            "converged": converged,
         }
-        for pt in points
-    ]
+    )
     if args.emit_csv is not None:
-        lines = ["epsilon,objective,cv,cv_bound"]
-        for pt in points:
-            lines.append(
-                f"{pt.epsilon!r},{pt.objective_value!r},{pt.cv!r},{pt.cv_bound!r}"
-            )
-        _write_file(args.emit_csv, "\n".join(lines) + "\n")
+        lines = [f"{pt.epsilon!r},{pt.objective_value!r},{pt.cv!r},{pt.cv_bound!r}" for pt in points]
+        _write_file(args.emit_csv, "\n".join(["epsilon,objective,cv,cv_bound", *lines]) + "\n")
     doc = _document(
         "sweep",
         {
@@ -437,7 +405,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
         },
         {"points": rows},
     )
-    return doc, 0 if all(pt.converged for pt in points) else 1
+    return doc, 0 if converged.all() else 1
 
 
 def _resolve_seed(args) -> int:
@@ -508,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--objective", required=True)
     sweep.add_argument("--p", type=exponent, required=True)
     sweep.add_argument("--eps-grid", type=_eps_grid, required=True, help="start:stop:step within [0, 1]")
-    sweep.add_argument("--emit-csv", default=None, help="also write epsilon,objective,cv,cv_bound rows")
+    sweep.add_argument(
+        "--emit-csv", default=None, help="also write epsilon,objective,cv,cv_bound rows; cv_bound bounds cv squared"
+    )
     sweep.add_argument("--out", default=None)
 
     verify = sub.add_parser("verify", help="run the sampling-based theorem suites")

@@ -87,6 +87,9 @@ class VerifyConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if any(n < 2 for n in self.n_values):
             raise ValueError("all dimensions must be >= 2")
+        # a repeated dimension draws the same substream again, so its margins would count twice
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"dimensions must be distinct, got {[int(n) for n in self.n_values]}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         p_values = sorted(check_exponent(p) for p in self.p_values)

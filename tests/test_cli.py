@@ -200,6 +200,34 @@ class TestBatchedRows:
         assert code == status
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["project", "--eps", "0.5", "--p", "inf", "--input", "tests/data/points.csv"],
+                "45e5164c5ea7035ec06ec0508ae4234dda0d6a0eb819bb3d2bb35375c6ef431e",
+            ),
+            (
+                ["solve", "--eps", "0.5", "--p", "2", "--objective", "tests/data/objective.csv"],
+                "e7b78d6ebb0dec837a965351b7499f5985048280f699b5a0264c51dfc1b3e5da",
+            ),
+            (
+                ["sweep", "--p", "inf", "--eps-grid", "0:1:0.125", "--objective", "tests/data/objective.csv"],
+                "d621364db638f8a0543b66869b6878c1af71fe37ea776b993418d95707ee6551",
+            ),
+        ],
+        ids=["project", "solve", "sweep"],
+    )
+    def test_optimize_report_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
+        # spread, vertex, uniform and six-decade rows, and one objective with
+        # negative and tied coefficients; sort and closed-form paths, so the
+        # bytes do not hang on pow rounding
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestProject:
     def test_projects_vertex(self, capsys, tmp_path):
@@ -277,6 +305,7 @@ class TestFlagValidation:
             ("verify", "--p-chain", "nan"),
             ("verify", "--samples", "0"),
             ("verify", "--n-values", "1"),
+            ("verify", "--n-values", "3,3"),
             ("verify", "--suite", "bogus"),
             ("verify", "--suite", ","),
             ("verify", "--seed", "-1"),
@@ -695,11 +724,87 @@ def _dumps(value):
     return json.dumps(value, indent=2, allow_nan=False)
 
 
+# a report that holds a _Table cannot hold the string that marks a table's place
+_plain_text = _text.filter(lambda s: s != cli._SLOT)
+_plain = _scalars.filter(lambda v: v != cli._SLOT)
+
+
+def _column(k):
+    """The columns a _Table takes for k rows: a range, a 1-D int, float or bool array, or a (k, m) float array."""
+    floats = lambda size: st.lists(_finite, min_size=size, max_size=size).map(np.array)
+    return st.one_of(
+        st.integers(-3, 3).map(lambda start: range(start, start + k)),
+        floats(k),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=k, max_size=k).map(lambda v: np.array(v, np.int64)),
+        st.lists(st.booleans(), min_size=k, max_size=k).map(np.array),
+        st.integers(1, 4).flatmap(lambda m: floats(k * m).map(lambda a: a.reshape(k, m))),
+    )
+
+
+def _row_at(row, i):
+    """Row i of a _Table's row: each column replaced by its i-th item."""
+    if isinstance(row, dict):
+        return {key: _row_at(item, i) for key, item in row.items()}
+    if isinstance(row, list):
+        return [_row_at(item, i) for item in row]
+    if isinstance(row, range):
+        return row[i]
+    return row[i].tolist() if isinstance(row, np.ndarray) else row
+
+
+def _table_rows(k):
+    """_Table rows for k rows: dicts of constants and columns, nested in lists and dicts, with at least one column."""
+    leaves = _plain | _column(k) | _column(k)
+    nested = st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_plain_text, inner, max_size=3),
+        max_leaves=6,
+    )
+    return st.tuples(st.dictionaries(_plain_text, nested, max_size=5), _plain_text, _column(k)).map(
+        lambda drawn: {**drawn[0], drawn[1]: drawn[2]}
+    )
+
+
+_TABLE_ROWS = {k: _table_rows(k) for k in range(1, 5)}
+
+
+@st.composite
+def _tables(draw):
+    """A _Table of k rows, with the k dicts json.dumps should write for it."""
+    k = draw(st.integers(1, 4))
+    row = draw(_TABLE_ROWS[k])
+    return cli._Table(row), [_row_at(row, i) for i in range(k)]
+
+
+def _pairs(inner):
+    """Lists, tuples and dicts of (document, expanded document) pairs, as one such pair."""
+    unzip = lambda pairs: ([a for a, _ in pairs], [b for _, b in pairs])
+    return (
+        st.lists(inner, max_size=5).map(unzip)
+        | st.lists(inner, max_size=3).map(lambda pairs: tuple(map(tuple, unzip(pairs))))
+        | st.dictionaries(_plain_text, inner, max_size=5).map(
+            lambda d: tuple(dict(zip(d, half)) for half in unzip(list(d.values())))
+        )
+    )
+
+
+# documents with _Tables at any depth, each beside the document json.dumps should write for it
+_documents = st.recursive(_plain.map(lambda v: (v, v)) | _tables() | _tables(), _pairs, max_leaves=12).filter(
+    lambda pair: pair[0] != pair[1]  # a _Table never equals its rows, so each document kept holds one
+)
+
+
 class TestJsonWriter:
     @settings(max_examples=300)
     @given(_reports)
     def test_same_text_as_json_dumps(self, value):
         assert cli._json_text(value) == _dumps(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_documents)
+    def test_tables_anywhere_give_json_dumps_text(self, pair):
+        document, expanded = pair
+        assert cli._json_text(document) == _dumps(expanded)
 
     def test_non_str_keys_are_written_as_json_writes_them(self):
         # 1, 1.0 and True are equal keys with three different texts
@@ -809,6 +914,72 @@ class TestJsonWriter:
         monkeypatch.setattr(cli, "dispersion_report", planted)
         path = write(tmp_path / "vec.csv", "1,2,3\n4,5,6\n7,8,9\n")
         code, out, err = run(capsys, *argv, "--p", "2,inf", "--input", path)
+        assert (code, out) == (2, "")
+        assert "not JSON compliant: nan" in err
+
+    @pytest.mark.parametrize("p", ["2", "4", "inf"])
+    @pytest.mark.parametrize("command", ["project", "sweep"])
+    def test_point_rows_are_json_dumps_of_the_results(self, capsys, tmp_path, command, p):
+        """The points list has the bytes json.dumps writes for one dict per project_fair_region or sweep point."""
+        if command == "project":
+            path = write(tmp_path / "50%s é.csv", "0.5,0.5,0,0\n1e-12,3,2.5,7\n1,1,1,1.000001\n")
+            argv = ["project", "--eps", "0.5", "--p", p, "--input", path]
+            spec = fairctl.FairnessSpec(0.5, float(p))
+            results = [fairctl.project_fair_region(y, spec) for y in np.loadtxt(path, delimiter=",", ndmin=2)]
+            points = [
+                {
+                    "index": i,
+                    "point": res.point.values.tolist(),
+                    "iterations": res.iterations,
+                    "residual": res.residual,
+                    "converged": res.converged,
+                }
+                for i, res in enumerate(results)
+            ]
+        else:
+            path = write(tmp_path / "obj %s.csv", "3,-2.5,1e-9,0.7\n")
+            argv = ["sweep", "--p", p, "--eps-grid", "0:1:0.25", "--objective", path]
+            objective = fairctl.ObjectiveSpec(np.array([3, -2.5, 1e-9, 0.7]))
+            points = [
+                {
+                    "epsilon": pt.epsilon,
+                    "objective": pt.objective_value,
+                    "cv": pt.cv,
+                    "cv_bound": pt.cv_bound,
+                    "converged": pt.converged,
+                }
+                for pt in fairctl.pareto_sweep(objective, float(p), eps_grid=[0.0, 0.25, 0.5, 0.75, 1.0])
+            ]
+        code, out, err = run(capsys, *argv)
+        expected = json.loads(out)
+        expected["results"]["points"] = points
+        assert (code, out, err) == (0, json.dumps(expected, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("command", ["project", "sweep"])
+    def test_nan_in_a_point_exits_two(self, capsys, monkeypatch, tmp_path, command):
+        # a NaN residual of the second projection, or a NaN cv of the second sweep point
+        if command == "project":
+            real = cli.project_fair_region
+            calls = []
+
+            def planted(*args, **kwargs):
+                calls.append(None)
+                res = real(*args, **kwargs)
+                return dataclasses.replace(res, residual=math.nan) if len(calls) == 2 else res
+
+            path = write(tmp_path / "vec.csv", "1,2,3\n4,5,6\n7,8,9\n")
+            argv = ["project", "--eps", "0.5", "--p", "inf", "--input", path]
+        else:
+            real = cli.pareto_sweep
+
+            def planted(*args, **kwargs):
+                points = real(*args, **kwargs)
+                return [dataclasses.replace(pt, cv=math.nan) if k == 1 else pt for k, pt in enumerate(points)]
+
+            path = write(tmp_path / "obj.csv", "3,2,1\n")
+            argv = ["sweep", "--p", "inf", "--eps-grid", "0:1:0.5", "--objective", path]
+        monkeypatch.setattr(cli, real.__name__, planted)
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "not JSON compliant: nan" in err
 

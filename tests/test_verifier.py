@@ -163,6 +163,12 @@ class TestVerifyConfig:
         with pytest.raises(ValueError, match=message):
             VerifyConfig(p_values=p_values)
 
+    @pytest.mark.parametrize("n_values", [(3, 3), (5, 3, np.int64(5))])
+    def test_rejects_repeated_dimensions(self, n_values):
+        # both entries draw the same (suite, n) substream, so the run would count its margins twice
+        with pytest.raises(ValueError, match=r"dimensions must be distinct, got \[\d+(, \d+)+\]"):
+            VerifyConfig(n_values=n_values)
+
     def test_p_values_sorted_with_infinity_last(self):
         cfg = VerifyConfig(p_values=(math.inf, 3, 2))
         assert cfg.p_values == (2.0, 3.0, math.inf)
