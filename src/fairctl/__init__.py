@@ -33,6 +33,7 @@ from .fairness import (
 )
 from .geometry import (
     ProjectionResult,
+    ProjectionRows,
     project_fair_region,
     project_simplex,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "cone_constraint",
     "dispersion_report",
     "ProjectionResult",
+    "ProjectionRows",
     "project_simplex",
     "project_fair_region",
     "ObjectiveSpec",

@@ -327,15 +327,14 @@ def _cmd_epsmax(args) -> tuple[dict, int]:
 
 def _cmd_project(args) -> tuple[dict, int]:
     spec = FairnessSpec(args.eps, args.p)
-    results = [project_fair_region(row, spec, tol=args.tol, max_iter=args.max_iter) for row in _read_rows(args.input)]
-    converged = np.array([res.converged for res in results])
+    res = project_fair_region(_read_rows(args.input), spec, tol=args.tol, max_iter=args.max_iter)
     points = _Table(
         {
-            "index": range(len(results)),
-            "point": np.array([res.point.values for res in results]),
-            "iterations": np.array([res.iterations for res in results]),
-            "residual": np.array([res.residual for res in results]),
-            "converged": converged,
+            "index": range(len(res.points)),
+            "point": res.points,
+            "iterations": res.evaluations,
+            "residual": res.residuals,
+            "converged": res.converged,
         }
     )
     doc = _document(
@@ -349,7 +348,7 @@ def _cmd_project(args) -> tuple[dict, int]:
         },
         {"points": points},
     )
-    return doc, 0 if converged.all() else 1
+    return doc, 0 if res.converged.all() else 1
 
 
 def _cmd_solve(args) -> tuple[dict, int]:

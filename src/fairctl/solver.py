@@ -155,9 +155,17 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
         x, dual = ties / k, top
     elif spec.p == 2.0:
         x, mu = _sphere_point(c, radius)
+        mu = float(mu)
         dual = mu + radius * float(_pnorm_rows(np.maximum(c - mu, 0.0), 2.0))
     elif spec.p == INFINITY:
-        x = _capped_point(2.0 * radius * np.unique(c, return_inverse=True)[1], radius)
+        # the dense rank of c, from one stable sort: equal entries (-0.0 and 0.0 too) share it
+        order = c.argsort(kind="stable")
+        ascending = c[order]
+        rises = np.zeros(n)
+        rises[1:] = ascending[1:] != ascending[:-1]
+        rank = np.empty(n)
+        rank[order] = rises.cumsum()
+        x = _capped_point(2.0 * radius * rank, radius)
         mu = float(c[x > 0.0].min())
         dual = mu + radius * float(np.maximum(c - mu, 0.0).sum())
     else:

@@ -208,6 +208,14 @@ class TestBatchedRows:
                 "45e5164c5ea7035ec06ec0508ae4234dda0d6a0eb819bb3d2bb35375c6ef431e",
             ),
             (
+                ["project", "--eps", "0.5", "--p", "2", "--input", "tests/data/points.csv"],
+                "ce155c134c31893b638393f8d3b6fdf6de56f420bc3daf2e370974480b50b5ad",
+            ),
+            (
+                ["project", "--eps", "0.5", "--p", "4", "--input", "tests/data/points.csv"],
+                "472562685b5da4b6704770e4c79d9225b56c97a55378a7e4202b33ad9584f158",
+            ),
+            (
                 ["solve", "--eps", "0.5", "--p", "2", "--objective", "tests/data/objective.csv"],
                 "e7b78d6ebb0dec837a965351b7499f5985048280f699b5a0264c51dfc1b3e5da",
             ),
@@ -216,12 +224,12 @@ class TestBatchedRows:
                 "d621364db638f8a0543b66869b6878c1af71fe37ea776b993418d95707ee6551",
             ),
         ],
-        ids=["project", "solve", "sweep"],
+        ids=["project", "project-p2", "project-p4", "solve", "sweep"],
     )
     def test_optimize_report_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
         # spread, vertex, uniform and six-decade rows, and one objective with
-        # negative and tied coefficients; sort and closed-form paths, so the
-        # bytes do not hang on pow rounding
+        # negative and tied coefficients; the sort and closed-form paths, and
+        # the p = 4 Newton iteration, whose bytes rest on pow as the verify pins do
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, *argv, "--out", str(out))
@@ -957,15 +965,15 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("command", ["project", "sweep"])
     def test_nan_in_a_point_exits_two(self, capsys, monkeypatch, tmp_path, command):
-        # a NaN residual of the second projection, or a NaN cv of the second sweep point
+        # a NaN residual of the second projected row, or a NaN cv of the second sweep point
         if command == "project":
             real = cli.project_fair_region
-            calls = []
 
             def planted(*args, **kwargs):
-                calls.append(None)
                 res = real(*args, **kwargs)
-                return dataclasses.replace(res, residual=math.nan) if len(calls) == 2 else res
+                residuals = res.residuals.copy()
+                residuals[1] = math.nan
+                return dataclasses.replace(res, residuals=residuals)
 
             path = write(tmp_path / "vec.csv", "1,2,3\n4,5,6\n7,8,9\n")
             argv = ["project", "--eps", "0.5", "--p", "inf", "--input", path]

@@ -15,6 +15,7 @@ from fairctl import (
 )
 
 from fairctl.core import (
+    COLUMN_ROWS_PER_ENTRY,
     SIMPLEX_SUM_TOL,
     _log_rows,
     _pnorm_rows,
@@ -188,6 +189,28 @@ class TestRowKernels:
         assert np.array_equal(_row_sum(x), expected[..., 0])
         assert np.array_equal(_row_max(x, keepdims=True), x.max(axis=-1, keepdims=True))
         assert np.array_equal(_row_max(x), x.max(axis=-1))
+
+    @settings(max_examples=120)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 130),
+        st.sampled_from([1, 2, 5, "below", "at", "past"]),
+        st.sampled_from(["exponential", "nine decades", "zeros", "signed zeros"]),
+        st.sampled_from(["C", "F"]),
+    )
+    @example(0, 10, "below", "exponential", "F")
+    @example(0, 10, "at", "nine decades", "C")
+    @example(0, 129, "past", "zeros", "F")
+    def test_stacks_from_one_row_to_past_the_column_threshold(self, seed, n, rows, profile, order):
+        # on both sides of the rule that picks the column loop, each row of a
+        # stack reduces to numpy's own reduction of that row alone
+        threshold = COLUMN_ROWS_PER_ENTRY * n
+        count = {"below": threshold - 1, "at": threshold, "past": threshold + 7}.get(rows, rows)
+        x = kernel_rows(seed, count, n, profile, order)
+        one_by_one = np.array([np.add.reduce(row) for row in x])
+        assert bits(_row_sum(x)).tolist() == bits(one_by_one).tolist()
+        assert bits(_row_sum(x, keepdims=True)[:, 0]).tolist() == bits(one_by_one).tolist()
+        assert bits(_row_max(x)).tolist() == bits([np.maximum.reduce(row) for row in x]).tolist()
 
     def test_every_width_from_2_to_130(self):
         for n in range(2, 131):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairctl import (
@@ -16,6 +16,10 @@ from fairctl import (
     project_simplex,
     solve,
 )
+
+from fairctl.core import COLUMN_ROW_LIMIT, COLUMN_ROWS_PER_ENTRY, _pnorm_rows
+from fairctl.fairness import cone_constraint
+from fairctl.geometry import ProjectionRows, _coordinate_roots, _fair_newton
 
 import oracles
 
@@ -328,3 +332,200 @@ class TestProjectFairRegion:
             z1 = project_fair_region(y1, spec).point.values
             z2 = project_fair_region(y2, spec).point.values
             assert np.linalg.norm(z1 - z2) <= np.linalg.norm(y1 - y2) + 1e-7
+
+
+# ------------------------------------------- one-row reference kernels
+
+
+def reference_simplex_point(y):
+    """The one-row simplex kernel that the stacked one replaced: its point and threshold."""
+    top = float(y.max())
+    shifted = y - top
+    u = np.sort(shifted)[::-1]
+    levels = (np.cumsum(u) - 1.0) / np.arange(1, y.size + 1)
+    level = float(levels[np.nonzero(u - levels > 0)[0][-1]])
+    return np.maximum(shifted - level, 0.0), top + level
+
+
+def reference_sphere_point(y, radius):
+    """The one-row p = 2 kernel that the stacked one replaced: its point and mu."""
+    top = float(y.max())
+    v = (y - top) / (top - float(y.min()))
+    u = np.sort(v)[::-1]
+    k = np.arange(1, y.size + 1)
+    square = max(radius * radius, 1.0 / y.size)
+    mean = np.cumsum(u) / k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt((square - 1.0 / k) / (np.cumsum(u * u) - k * mean * mean))
+        inside = 1.0 / k + s * (u - mean)
+        past = np.append(-1.0 / k[:-1] - s[:-1] * (u[1:] - mean[:-1]), math.inf)
+    size = int(np.nanargmax(np.minimum(inside, past))) + 1
+    support = u[:size]
+    centre = float(support.mean())
+    scale = math.sqrt((square - 1.0 / size) / float(((support - centre) ** 2).sum()))
+    mu = top + (centre - 1.0 / (size * scale)) * (top - float(y.min())) if scale > 0.0 else -math.inf
+    return np.maximum(1.0 / size + scale * (v - centre), 0.0), mu
+
+
+def reference_capped_point(y, radius):
+    """The one-row p = infinity kernel that the stacked one replaced."""
+    order = np.argsort(y, kind="stable")
+    v = np.concatenate(([0.0], np.cumsum(np.minimum(np.diff(y[order]), 2.0 * radius))))
+    both = np.concatenate((v - radius, v))
+    rank = np.argsort(both, kind="stable")
+    t = both[rank]
+    low = np.cumsum(rank >= v.size)
+    free_end = np.arange(1, t.size + 1) - low
+    sums = np.concatenate(([0.0], np.cumsum(v)))
+    f = (v.size - free_end) * radius + (sums[free_end] - sums[low]) - (free_end - low) * t
+    j = max(int(np.count_nonzero(f >= 1.0)), 1) - 1
+    lo, hi = low[j], free_end[j]
+    mu = t[j] if lo == hi else ((v.size - hi) * radius + float(v[lo:hi].sum()) - 1.0) / (hi - lo)
+    x = np.empty_like(y)
+    x[order] = np.clip(v - mu, 0.0, radius)
+    return x
+
+
+def reference_coordinate_roots(w, p, kappa):
+    """The Newton loop of _coordinate_roots before its temporaries were built in place."""
+    lo = np.zeros_like(w)
+    hi = w.copy()
+    scale = float(hi.max())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        z = np.minimum(w, w ** (1.0 / (p - 1.0)) / kappa)
+        for _ in range(100):
+            kz = kappa * z
+            g = z + kz ** (p - 1.0) - w
+            lo = np.where(g < 0, z, lo)
+            hi = np.where(g > 0, z, hi)
+            cand = z - g / (1.0 + (p - 1.0) * kappa * kz ** (p - 2.0))
+            bad = ~np.isfinite(cand) | (cand < lo) | (cand > hi)
+            cand = np.where(bad, 0.5 * (lo + hi), cand)
+            done = np.abs(cand - z).max() <= 1e-16 * max(scale, 1.0)
+            z = cand
+            if done:
+                break
+    return z
+
+
+def reference_projection(y, spec, tol=1e-8, max_iter=5000):
+    """The one-row projection before stacked rows: point, evaluations, residual and verdict."""
+    n = y.size
+    if spec.epsilon == 1.0:
+        return np.full(n, 1.0 / n), 1, 0.0, True
+    p = spec.p
+    radius = cone_constraint(n, spec).radius
+    x, tau = reference_simplex_point(y)
+    gap = ball_gap = 0.0
+    evals = 0
+    if float(_pnorm_rows(x, p)) > radius and x.min() < x.max():
+        if p == 2.0:
+            x, _ = reference_sphere_point(y, radius)
+        elif p == INFINITY:
+            x = reference_capped_point(y, radius)
+        elif max_iter > 1:
+            x, gap, ball_gap, evals = _fair_newton(y, p, radius, tau, tol, max_iter - 1)
+    point = x / x.sum()
+    residual = max(
+        abs(gap),
+        abs(ball_gap),
+        abs(float(point.sum()) - 1.0),
+        -float(point.min()),
+        float(_pnorm_rows(point, p)) / radius - 1.0,
+    )
+    return point, 1 + evals, residual, residual <= tol
+
+
+def bits(a) -> list:
+    """The float64 values as integers, so that equal bits mean equal values, -0.0 and nan included."""
+    return np.asarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+def stacked_rows(seed: int, count: int, n: int, permuted: bool = False) -> np.ndarray:
+    """count rows of n entries, each of its own profile: spread, signed, tied, sparse, signed-zero, constant, 1e17.
+
+    With permuted, every row is a permutation of the first, so all rows share their sorted slices.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.empty((count, n))
+    if permuted:
+        first = stacked_rows(seed, 1, n)[0]
+        return np.array([rng.permutation(first) for _ in range(count)])
+    for row in rows:
+        profile = rng.integers(7)
+        if profile == 0:
+            row[:] = rng.standard_exponential(n)
+        elif profile == 1:
+            row[:] = rng.uniform(-2.0, 2.0, n)
+        elif profile == 2:
+            row[:] = rng.integers(0, 3, n)
+        elif profile == 3:
+            row[:] = np.where(rng.random(n) < 0.5, 0.0, rng.standard_exponential(n))
+        elif profile == 4:
+            row[:] = rng.choice([0.0, -0.0, 1.0], n)
+        elif profile == 5:
+            row[:] = rng.uniform(-1.0, 1.0)
+        else:
+            row[:] = rng.standard_exponential(n)
+            row[rng.integers(n)] = 1e17
+    return rows
+
+
+class TestStackedRows:
+    """A stack of rows projects, bit for bit, as each row alone did through the one-row kernels."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 200),
+        st.integers(1, 300),
+        st.sampled_from([2.0, 3.0, 4.0, 10.0, INFINITY]),
+        st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]),
+        st.booleans(),
+    )
+    # past the column rule, just below it, past COLUMN_ROW_LIMIT, and one row
+    @example(7, 2, 300, INFINITY, 0.5, False)
+    @example(8, 9, COLUMN_ROWS_PER_ENTRY * 9, 2.0, 0.5, True)
+    @example(9, 9, COLUMN_ROWS_PER_ENTRY * 9 - 1, 4.0, 0.5, False)
+    @example(10, COLUMN_ROW_LIMIT + 1, 3, 2.0, 0.5, True)
+    @example(11, 200, 1, INFINITY, float(np.nextafter(1.0, 0.0)), False)
+    def test_rows_match_the_one_row_kernels(self, seed, n, count, p, eps, permuted):
+        if p not in (2.0, INFINITY) and eps > 0.0:
+            count = min(count, max(1, 3000 // n))  # the Newton iteration runs row by row
+        rows = stacked_rows(seed, count, n, permuted)
+        spec = FairnessSpec(eps, p)
+        res = project_fair_region(rows, spec)
+        assert isinstance(res, ProjectionRows)
+        assert res.points.shape == rows.shape and not res.points.flags.writeable
+        expected = [reference_projection(row, spec) for row in rows]
+        for i, (point, evals, residual, converged) in enumerate(expected):
+            assert bits(res.points[i]) == bits(point), i
+            assert int(res.evaluations[i]) == evals, i
+            assert bits(res.residuals[i]) == bits(residual), i
+            assert bool(res.converged[i]) == converged, i
+        assert res.iterations == sum(e[1] for e in expected)
+        assert isinstance(res.iterations, int)
+        # a vector is one row
+        one = project_fair_region(rows[0], spec)
+        point, evals, residual, converged = expected[0]
+        assert bits(one.point.values) == bits(point)
+        assert (one.iterations, bits(one.residual), one.converged) == (evals, bits(residual), converged)
+
+    def test_a_bad_row_is_named(self):
+        with pytest.raises(ValueError, match="row 1: entries must be finite"):
+            project_fair_region([[1.0, 2.0], [math.nan, 1.0]], FairnessSpec(0.5, 2.0))
+        for bad in ([[[1.0, 2.0]]], np.empty((0, 3)), [[1.0], [2.0]]):
+            with pytest.raises(ValueError):
+                project_fair_region(bad, FairnessSpec(0.5, 2.0))
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 60),
+        st.sampled_from([2.5, 3.0, 4.0, 6.0, 10.0, 50.0, 300.0]),
+        st.floats(1e-3, 1e3),
+    )
+    def test_coordinate_roots_keep_their_bits(self, seed, n, p, kappa):
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random(n) < 0.2, 0.0, 10.0 ** rng.uniform(-6.0, 3.0, n))
+        assert bits(_coordinate_roots(w, p, kappa)) == bits(reference_coordinate_roots(w, p, kappa))
