@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -163,22 +164,14 @@ def _document(command: str, inputs: dict, results: dict, seed: int | None = None
     return doc
 
 
-#: A varying place in a _Table's sample row, or a _Table's place in a report. Its JSON text marks those
-#: places: no report that holds a table holds this string, since argv cannot carry a NUL and open
-#: refuses a path with one before any report is written
+#: A varying place in a _Table's sample row, or a _Table's place in a report. No report that holds a table
+#: holds this string, since argv cannot carry a NUL and open refuses a path with one before any report is
+#: written
 _SLOT = "\x00"
-_SLOT_TEXT = json.dumps(_SLOT)
+#: _SLOT's JSON text as a whole value: with an indent, json.dumps starts every value at the text's start or
+#: after a space (an indent or ": "), while a quote inside a string is escaped and so follows a backslash
+_PLACE = re.compile(r'(?<![^ \n])"\\u0000"')
 _BOOL_TEXT = ("false", "true")
-
-
-def _splice(text: str, fills: list, out: list[str]) -> None:
-    """Append text to out with its i-th _SLOT replaced by fills[i](out, nl); nl is a newline and that line's indent."""
-    pieces = text.split(_SLOT_TEXT)
-    out.append(pieces[0])
-    for fill, before, piece in zip(fills, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1 :]  # every place starts a line's value, after its indent
-        fill(out, "\n" + " " * (len(line) - len(line.lstrip(" "))))
-        out.append(piece)
 
 
 def _columns(values) -> list:
@@ -202,13 +195,12 @@ class _Table:
     row is the dict with each varying leaf given as its column: a range, a
     1-D int, float or bool array of k >= 1 values, or a (k, m >= 1) float
     array whose rows are list leaves. json.dumps writes the row with _SLOT
-    in those places, each place becomes one %s, or m of them in a list, and
-    one % operation fills the template for all k rows.
+    in those places, m of them in a list for a (k, m) column, each place
+    becomes one %s, and one % operation fills the template for all k rows.
     """
 
     def __init__(self, row: dict):
         self.columns: list = []
-        self.widths: list = []  # per place: None for a scalar, m for a list of m
         self.row = self._sample(row)
 
     def _sample(self, value):
@@ -219,24 +211,20 @@ class _Table:
         if isinstance(value, (range, np.ndarray)):
             columns = _columns(value)
             self.columns += columns
-            self.widths.append(None if isinstance(value, range) or value.ndim == 1 else len(columns))
-            return _SLOT
+            return _SLOT if isinstance(value, range) or value.ndim == 1 else [_SLOT] * len(columns)
         return value
 
-    @staticmethod
-    def _place(width, out: list[str], nl: str) -> None:
-        inner = nl + "  "
-        out.append("%s" if width is None else "[" + inner + ("," + inner).join(["%s"] * width) + nl + "]")
+    def pieces(self, nl: str) -> list[str]:
+        """The table's JSON text at a place whose line starts with nl, a newline and that line's indent.
 
-    def write(self, out: list[str], nl: str) -> None:
+        The filled rows, the report's largest string, stay one piece, so only the report's join copies them.
+        """
         inner = nl + "  "
         # json escapes a newline inside a string, so each "\n" ends a line of the sample
         sample = json.dumps(self.row, indent=2, allow_nan=False).replace("\n", inner).replace("%", "%%")
-        template: list[str] = []
-        _splice(sample, [functools.partial(self._place, width) for width in self.widths], template)
         values = tuple(itertools.chain.from_iterable(zip(*self.columns)))
-        rows = ("," + inner).join(["".join(template)] * len(self.columns[0])) % values
-        out += ["[", inner, rows, nl, "]"]
+        rows = ("," + inner).join([_PLACE.sub("%s", sample)] * len(self.columns[0])) % values
+        return ["[" + inner, rows, nl + "]"]
 
 
 def _json_text(value) -> str:
@@ -252,8 +240,11 @@ def _json_text(value) -> str:
     text = json.dumps(value, indent=2, allow_nan=False, default=place)
     if not tables:  # a report without a table may hold the string _SLOT itself
         return text
-    out: list[str] = []
-    _splice(text, [table.write for table in tables], out)
+    pieces = _PLACE.split(text)
+    out = [pieces[0]]
+    for table, before, piece in zip(tables, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out += [*table.pieces("\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
     return "".join(out)
 
 

@@ -97,6 +97,11 @@ def _member_rows(t, l1, n: int, eps, p: float, tol: float):
     return (1.0 + eps * dispersion_constant(n, p)) * t <= l1 * (1.0 + tol)
 
 
+def _slack_rows(t, n: int, eps, p: float):
+    """1 - (1 + eps D_p) t: at least 0 exactly when simplex rows with p-norms t are members at eps."""
+    return 1.0 - (1.0 + eps * dispersion_constant(n, p)) * t
+
+
 def is_fair(x: NonNegVector, spec: FairnessSpec, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether (1 + eps D_p) ||x||_p <= ||x||_1 (1 + tol).
 

@@ -36,6 +36,10 @@ from .geometry import _capped_point, _sphere_point, project_fair_region
 #: Default cap on evaluations of x(mu) per solve.
 SOLVE_MAX_ITER = 20000
 
+#: An objective with max |c| above this is solved as c times a power of two, so that the search's
+#: differences c - mu and its doubling steps stay finite; the maximiser of a c . x is the same for a > 0
+SCALE_BOUND = 2.0**512
+
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -186,11 +190,15 @@ def solve(
     or closed form applies); converged: a duality gap of at most tol max(1, max |c|).
     The search on mu at 2 < p < infinity stops on that gap, at a hundredth of
     the bound, so it converges at every eps up to 1 unless max_iter cuts it.
+    Every finite c is accepted: above SCALE_BOUND the search runs on c 2^s
+    with max |c 2^s| in [1, 2), and its gap is scaled back by 2^-s.
     """
     tol = check_tolerance(tol)
     max_iter = check_iterations(max_iter)
     c = obj.coefficients
-    x, gap, converged, iterations = _maximize(c, spec, tol, max_iter)
+    big = float(np.abs(c).max())
+    shift = 1 - math.frexp(big)[1] if big > SCALE_BOUND else 0
+    x, gap, converged, iterations = _maximize(np.ldexp(c, shift), spec, tol, max_iter)
     point = SimplexVector(x)
     return SolveResult(
         x_opt=point,
@@ -198,7 +206,7 @@ def solve(
         iterations=iterations,
         converged=converged,
         cv_at_opt=coefficient_of_variation(point),
-        duality_gap=gap,
+        duality_gap=math.ldexp(gap, -shift),
         p=spec.p,
     )
 

@@ -34,7 +34,7 @@ from .core import (
     _NO_WORKSPACE,
     _Workspace,
 )
-from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows
+from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows, _slack_rows
 
 DEFAULT_N_VALUES = (2, 3, 5, 10)
 DEFAULT_P_CHAIN = (2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0, math.inf)
@@ -205,7 +205,7 @@ def _finite_ps(cfg: VerifyConfig) -> list[float]:
 def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
     """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
     uniform = np.full((1, n), 1.0 / n)
-    gap = abs((1.0 + dispersion_constant(n, p)) * float(_pnorm_rows(uniform, p)[0]) - 1.0)
+    gap = abs(float(_slack_rows(_pnorm_rows(uniform, p)[0], n, 1.0, p)))
     return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
 
 
@@ -232,11 +232,9 @@ def _check_inclusion(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     eps = rng.random(cfg.samples)
     norms = dict(zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)))
     for p1, p2 in zip(cfg.p_values, cfg.p_values[1:]):
-        d1 = dispersion_constant(n, p1)
-        d2 = dispersion_constant(n, p2)
-        inner = (1.0 + eps * d2) * norms[p2] <= 1.0
+        inner = _slack_rows(norms[p2], n, eps, p2) >= 0.0
         idx = np.nonzero(inner)[0]
-        margins = (1.0 - (1.0 + eps * d1) * norms[p1])[inner]
+        margins = _slack_rows(norms[p1], n, eps, p1)[inner]
 
         def example(i: int) -> dict:
             j = int(idx[i])
@@ -254,14 +252,8 @@ def _check_equivalence(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
     X = _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work)
     for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
-        d = dispersion_constant(n, p)
-        yield 1.0 - t, -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
-        yield (
-            (1.0 + d) * t - 1.0,
-            STRICT_MARGIN,
-            True,
-            _row_example(X, n, p, epsilon=1.0),
-        )
+        yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
+        yield -_slack_rows(t, n, 1.0, p), STRICT_MARGIN, True, _row_example(X, n, p, epsilon=1.0)
         yield _uniform_gap(cfg, n, p)
 
 
@@ -375,10 +367,9 @@ def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, work: _Workspace):
     lo = draws.min(axis=0)
     distinct = hi > lo
     for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
-        d = dispersion_constant(n, p)
-        applicable = distinct & ((1.0 + hi * d) * t <= 1.0)
+        applicable = distinct & (_slack_rows(t, n, hi, p) >= 0.0)
         idx = np.nonzero(applicable)[0]
-        margins = (1.0 - (1.0 + lo * d) * t)[applicable]
+        margins = _slack_rows(t, n, lo, p)[applicable]
 
         def example(i: int) -> dict:
             j = int(idx[i])

@@ -398,6 +398,21 @@ class TestSolve:
         bound = oracles.linear_max_dual_bound([0.3, -1.0, 0.8, 0.1], 0.999999999999, 4.0)
         assert abs(doc["results"]["objective_value"] - bound) <= 1e-8
 
+    def test_objective_near_the_float_limit_in_a_child_process(self):
+        # a child process, so that numpy's warnings would reach its stderr; c - mu overflowed here
+        wide = str(Path(__file__).parent / "data" / "wide_objective.csv")
+        argvs = [f"solve --eps {eps} --p {p}" for p in ("2", "4", "10", "inf") for eps in ("0.5", "0.75")]
+        argvs += [f"sweep --eps-grid 0:1:0.25 --p {p}" for p in ("2", "4", "inf")]
+        code = "import sys\nfrom fairctl.cli import main\nsys.exit(max(main(line.split()) for line in sys.stdin))\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(fairctl.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input="".join(f"{argv} --objective {wide}\n" for argv in argvs),
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        # exit 0: every solve and every sweep point converged, and every report was finite
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_step_flag_is_gone(self, capsys, c321_csv):
         code, out, err = run(
             capsys, "solve", "--objective", c321_csv, "--eps", "0.5", "--p", "2", "--step", "0.1"
@@ -706,7 +721,7 @@ class _Level(enum.IntEnum):
 
 # report-like values: every scalar json writes, nested in dicts, lists and tuples
 _text = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
-    ["", "p", 'a "quoted" key', "back\\slash", "\x00\x1f\t\n\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]
+    ["", "p", 'a "quoted" key', "back\\slash", "\x00\x1f\t\n\x7f", "\u00e9\u4e2d\U0001f600", "\ud800", 'ends "\x00']
 )
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _scalars = (
@@ -813,6 +828,14 @@ class TestJsonWriter:
     def test_tables_anywhere_give_json_dumps_text(self, pair):
         document, expanded = pair
         assert cli._json_text(document) == _dumps(expanded)
+
+    @pytest.mark.parametrize("place", [lambda s: [s], lambda s: {s: 1}], ids=["value", "key"])
+    def test_a_string_holding_the_marker_text_beside_a_table(self, place):
+        # the string's JSON text ends in the marker's, after the backslash of its escaped quote
+        quoted = 'ends "\x00'
+        table = cli._Table({"a": range(2), "b": [quoted]})
+        rows = [{"a": i, "b": [quoted]} for i in range(2)]
+        assert cli._json_text([table, place(quoted)]) == _dumps([rows, place(quoted)])
 
     def test_non_str_keys_are_written_as_json_writes_them(self):
         # 1, 1.0 and True are equal keys with three different texts

@@ -130,6 +130,25 @@ class TestExactMaximiser:
                     bound = oracles.linear_max_dual_bound(c, eps, p)
                     assert abs(res.objective_value - bound) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 10.0, 50.0, INFINITY])
+    def test_objectives_near_the_float_limit(self, p):
+        # c - mu and the doubling steps overflowed here, with a numpy warning, which fails a test;
+        # solve works on c 2^s with max |c 2^s| in [1, 2), so it is judged on that objective
+        for n in (2, 3, 10, 100):
+            rng = np.random.default_rng(n)
+            objectives = (
+                np.resize([-9e307, 9e307, 0.0], n),
+                1.7e308 * rng.uniform(-1.0, 1.0, n),
+                1e200 * rng.standard_normal(n),
+            )
+            for c in objectives:
+                shift = 1 - math.frexp(float(np.abs(c).max()))[1]
+                for eps in (0.0, 0.3, 0.9, 1.0 - 1e-9):
+                    res = solve(ObjectiveSpec(c), FairnessSpec(eps, p))
+                    assert res.converged and math.isfinite(res.duality_gap)
+                    bound = oracles.linear_max_dual_bound(np.ldexp(c, shift), eps, p)
+                    assert abs(bound - math.ldexp(res.objective_value, shift)) <= 2e-8
+
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 10.0, INFINITY])
     def test_eps_just_below_one_gives_about_the_mean(self, p):
         # the radius rounds onto the norm of e/n or just past it: at p = 2 and n = 5 and 7
