@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
+import io
 import json
 import math
 import os
@@ -101,20 +101,42 @@ def _eps_grid(text: str) -> list[float]:
 def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.ndarray:
     """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments.
 
-    The file is read as UTF-8; a leading byte-order mark is dropped, and a
-    file that cannot be opened or decoded is named by its path. Its data
-    lines are joined, all their entries go through one float map, and the
-    rows are checked as one array. Row widths come from comma counts. Only
-    a bad file is searched for its first bad line, from the widths and the
-    entry where the parse stopped. Every error names the first bad line in
-    file order, and within a line a bad entry comes before a bad shape.
-    With positive, a row needs a positive entry.
+    The file is read once as UTF-8; a leading byte-order mark is dropped, and
+    a file that cannot be opened or decoded is named by its path. A non-blank
+    text without '#' goes to numpy's C parser, whose float parse gives
+    float's bits. Its result stands when it has n >= 2 columns and its rows
+    break no rule; any other text, and a text numpy refuses, goes to
+    _parse_lines, which gives every result and message. With positive, a
+    row needs a positive entry.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            lines = [line.strip() for line in handle.read().split("\n")]
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}")
+    # a blank text would only make numpy warn that it holds no data
+    if text and not text.isspace() and "#" not in text:
+        try:
+            rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape[1] >= 2 and _row_fault(rows, nonneg, positive) is None:
+                return rows
+    return _parse_lines(path, text, nonneg, positive)
+
+
+def _parse_lines(path: str, text: str, nonneg: bool, positive: bool) -> np.ndarray:
+    """_read_rows on the file's text: comments and blank lines skipped, and each error named as path:line.
+
+    The data lines are joined, all their entries go through one float map,
+    and the rows are checked as one array. Row widths come from comma
+    counts. Only a bad file is searched for its first bad line, from the
+    widths and the entry where the parse stopped. Every error names the
+    first bad line in file order, and within a line a bad entry comes
+    before a bad shape.
+    """
+    lines = [line.strip() for line in text.split("\n")]
     data = [line for line in lines if line and line[0] != "#"]
     if not data:
         raise ValueError(f"{path}: no vectors found")
@@ -175,7 +197,7 @@ _BOOL_TEXT = ("false", "true")
 
 
 def _columns(values) -> list:
-    """A range, or an int, float or bool array of k rows, as lists of k items whose %s text is their JSON text.
+    """A range, or an int, float or bool array of k rows, as lists of k items whose str text is their JSON text.
 
     A (k, m) array is m such lists, one per column.
     """
@@ -190,13 +212,13 @@ def _columns(values) -> list:
 
 
 class _Table:
-    """A JSON list of k dicts that differ only in some leaves, written from one %-template.
+    """A JSON list of k dicts that differ only in some leaves, written from one sample row.
 
     row is the dict with each varying leaf given as its column: a range, a
     1-D int, float or bool array of k >= 1 values, or a (k, m >= 1) float
     array whose rows are list leaves. json.dumps writes the row with _SLOT
-    in those places, m of them in a list for a (k, m) column, each place
-    becomes one %s, and one % operation fills the template for all k rows.
+    in those places, m of them in a list for a (k, m) column, and the text
+    between the places is put between the columns' texts for all k rows.
     """
 
     def __init__(self, row: dict):
@@ -214,21 +236,30 @@ class _Table:
             return _SLOT if isinstance(value, range) or value.ndim == 1 else [_SLOT] * len(columns)
         return value
 
-    def pieces(self, nl: str) -> list[str]:
+    def text(self, nl: str) -> str:
         """The table's JSON text at a place whose line starts with nl, a newline and that line's indent.
 
-        The filled rows, the report's largest string, stay one piece, so only the report's join copies them.
+        The sample row, cut at its places, gives the literal segments, and the
+        columns' str texts (their JSON texts) go between them, one slice per
+        column, in one list that is joined once.
         """
         inner = nl + "  "
         # json escapes a newline inside a string, so each "\n" ends a line of the sample
-        sample = json.dumps(self.row, indent=2, allow_nan=False).replace("\n", inner).replace("%", "%%")
-        values = tuple(itertools.chain.from_iterable(zip(*self.columns)))
-        rows = ("," + inner).join([_PLACE.sub("%s", sample)] * len(self.columns[0])) % values
-        return ["[" + inner, rows, nl + "]"]
+        sample = json.dumps(self.row, indent=2, allow_nan=False).replace("\n", inner)
+        first, *middle, last = _PLACE.split(sample)
+        k, width = len(self.columns[0]), 2 * len(self.columns)
+        # row i is texts[1 + i * width :][:width]: each place's text, then the segment after it
+        texts = [None] * (1 + k * width)
+        texts[0] = "[" + inner + first
+        texts[2::2] = (middle + [last + "," + inner + first]) * k
+        for j, column in enumerate(self.columns):
+            texts[1 + 2 * j :: width] = map(str, column)
+        texts[-1] = last + nl + "]"
+        return "".join(texts)
 
 
-def _json_text(value) -> str:
-    """json.dumps(value, indent=2, allow_nan=False), with each _Table written at its place."""
+def _json_pieces(value) -> list[str]:
+    """The text of json.dumps(value, indent=2, allow_nan=False) in pieces, each _Table one piece at its place."""
     tables: list[_Table] = []
 
     def place(item):
@@ -239,30 +270,38 @@ def _json_text(value) -> str:
 
     text = json.dumps(value, indent=2, allow_nan=False, default=place)
     if not tables:  # a report without a table may hold the string _SLOT itself
-        return text
+        return [text]
     pieces = _PLACE.split(text)
     out = [pieces[0]]
     for table, before, piece in zip(tables, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
-        out += [*table.pieces("\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
-    return "".join(out)
+        out += [table.text("\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
+    return out
 
 
-def _write_file(path: str, text: str) -> None:
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, allow_nan=False), with each _Table written at its place."""
+    return "".join(_json_pieces(value))
+
+
+def _write_file(path: str, pieces: list[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ValueError(f"cannot write {path!r}: {exc}")
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    """Write doc as json.dumps(doc, indent=2) writes it, its tables included; NaN or inf: exit 2."""
-    text = _json_text(doc) + "\n"
+    """Write doc as json.dumps(doc, indent=2) writes it, its tables included; NaN or inf: exit 2.
+
+    The pieces are written one by one, so the report is never joined into one string.
+    """
+    pieces = _json_pieces(doc) + ["\n"]
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        _write_file(out_path, text)
+        _write_file(out_path, pieces)
 
 
 def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):
@@ -382,8 +421,8 @@ def _cmd_sweep(args) -> tuple[dict, int]:
         }
     )
     if args.emit_csv is not None:
-        lines = [f"{pt.epsilon!r},{pt.objective_value!r},{pt.cv!r},{pt.cv_bound!r}" for pt in points]
-        _write_file(args.emit_csv, "\n".join(["epsilon,objective,cv,cv_bound", *lines]) + "\n")
+        lines = [f"{pt.epsilon!r},{pt.objective_value!r},{pt.cv!r},{pt.cv_bound!r}\n" for pt in points]
+        _write_file(args.emit_csv, ["epsilon,objective,cv,cv_bound\n", *lines])
     doc = _document(
         "sweep",
         {

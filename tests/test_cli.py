@@ -22,6 +22,42 @@ from fairctl.core import _row_fault
 import oracles
 
 
+_DATA = Path(__file__).resolve().parent / "data"
+
+#: check and epsmax at --p 4,2,inf,2 on tests/data/dispersion.csv: the command, its exit status and the
+#: sha256 of its report
+_SCREEN_PINS = [
+    (["check", "--eps", "0.45"], 1, "020094be1ba48c4f54d3adc41e3c2f69450d3af9bd5e0fa593d65060eef1ab99"),
+    (["epsmax"], 0, "3e0ca2ec751bd41dec4d10b43c53caef9f2a5d75e46e9269e8ed0567639e6126"),
+]
+_SCREEN_ARGS = ["--p", "4,2,inf,2", "--input", "tests/data/dispersion.csv"]
+#: project on tests/data/points.csv, and solve and sweep on tests/data/objective.csv: the command and the
+#: sha256 of its report
+_OPTIMIZE_IDS = ["project", "project-p2", "project-p4", "solve", "sweep"]
+_OPTIMIZE_PINS = [
+    (
+        ["project", "--eps", "0.5", "--p", "inf", "--input", "tests/data/points.csv"],
+        "45e5164c5ea7035ec06ec0508ae4234dda0d6a0eb819bb3d2bb35375c6ef431e",
+    ),
+    (
+        ["project", "--eps", "0.5", "--p", "2", "--input", "tests/data/points.csv"],
+        "ce155c134c31893b638393f8d3b6fdf6de56f420bc3daf2e370974480b50b5ad",
+    ),
+    (
+        ["project", "--eps", "0.5", "--p", "4", "--input", "tests/data/points.csv"],
+        "472562685b5da4b6704770e4c79d9225b56c97a55378a7e4202b33ad9584f158",
+    ),
+    (
+        ["solve", "--eps", "0.5", "--p", "2", "--objective", "tests/data/objective.csv"],
+        "e7b78d6ebb0dec837a965351b7499f5985048280f699b5a0264c51dfc1b3e5da",
+    ),
+    (
+        ["sweep", "--p", "inf", "--eps-grid", "0:1:0.125", "--objective", "tests/data/objective.csv"],
+        "d621364db638f8a0543b66869b6878c1af71fe37ea776b993418d95707ee6551",
+    ),
+]
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -180,13 +216,7 @@ class TestBatchedRows:
                 verdicts.add(entry["member"])
         assert verdicts == {True, False}
 
-    @pytest.mark.parametrize(
-        "command, status, digest",
-        [
-            (["check", "--eps", "0.45"], 1, "020094be1ba48c4f54d3adc41e3c2f69450d3af9bd5e0fa593d65060eef1ab99"),
-            (["epsmax"], 0, "3e0ca2ec751bd41dec4d10b43c53caef9f2a5d75e46e9269e8ed0567639e6126"),
-        ],
-    )
+    @pytest.mark.parametrize("command, status, digest", _SCREEN_PINS)
     def test_report_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, command, status, digest):
         # dense, sparse, near-uniform, nine-decade, vertex and uniform rows and
         # one whose sum overflows, at an unsorted chain with a repeated
@@ -194,38 +224,11 @@ class TestBatchedRows:
         # repository root wherever the tests run
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
         out = tmp_path / "report.json"
-        code, _, _ = run(
-            capsys, *command, "--p", "4,2,inf,2", "--input", "tests/data/dispersion.csv", "--out", str(out)
-        )
+        code, _, _ = run(capsys, *command, *_SCREEN_ARGS, "--out", str(out))
         assert code == status
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ["project", "--eps", "0.5", "--p", "inf", "--input", "tests/data/points.csv"],
-                "45e5164c5ea7035ec06ec0508ae4234dda0d6a0eb819bb3d2bb35375c6ef431e",
-            ),
-            (
-                ["project", "--eps", "0.5", "--p", "2", "--input", "tests/data/points.csv"],
-                "ce155c134c31893b638393f8d3b6fdf6de56f420bc3daf2e370974480b50b5ad",
-            ),
-            (
-                ["project", "--eps", "0.5", "--p", "4", "--input", "tests/data/points.csv"],
-                "472562685b5da4b6704770e4c79d9225b56c97a55378a7e4202b33ad9584f158",
-            ),
-            (
-                ["solve", "--eps", "0.5", "--p", "2", "--objective", "tests/data/objective.csv"],
-                "e7b78d6ebb0dec837a965351b7499f5985048280f699b5a0264c51dfc1b3e5da",
-            ),
-            (
-                ["sweep", "--p", "inf", "--eps-grid", "0:1:0.125", "--objective", "tests/data/objective.csv"],
-                "d621364db638f8a0543b66869b6878c1af71fe37ea776b993418d95707ee6551",
-            ),
-        ],
-        ids=["project", "project-p2", "project-p4", "solve", "sweep"],
-    )
+    @pytest.mark.parametrize("argv, digest", _OPTIMIZE_PINS, ids=_OPTIMIZE_IDS)
     def test_optimize_report_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
         # spread, vertex, uniform and six-decade rows, and one objective with
         # negative and tied coefficients; the sort and closed-form paths, and
@@ -235,6 +238,29 @@ class TestBatchedRows:
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_comment_free_copies_give_the_pinned_reports(self, capsys, tmp_path, monkeypatch):
+        # every pinned input has comment lines, which send it to the line
+        # reader; these copies have none, so numpy's reader must give the
+        # pinned bytes alone. The reports echo --input and --objective, so the
+        # copies sit at the same relative path.
+        folder = tmp_path / "tests" / "data"
+        folder.mkdir(parents=True)
+        for name in ("dispersion.csv", "points.csv", "objective.csv"):
+            lines = (_DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            (folder / name).write_text("".join(line for line in lines if line[0] != "#"), encoding="utf-8")
+
+        def line_reader(path, *args):
+            raise AssertionError(f"{path} went to the line reader")
+
+        monkeypatch.setattr(cli, "_parse_lines", line_reader)
+        monkeypatch.chdir(tmp_path)
+        runs = [([*command, *_SCREEN_ARGS], status, digest) for command, status, digest in _SCREEN_PINS]
+        runs += [(argv, 0, digest) for argv, digest in _OPTIMIZE_PINS]
+        for argv, status, digest in runs:
+            out = tmp_path / "report.json"
+            assert run(capsys, *argv, "--out", str(out)) == (status, "", "")
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 class TestProject:
@@ -1064,6 +1090,12 @@ def _read_outcome(read, path, nonneg, positive):
     return rows.dtype, rows.shape, rows.strides, rows.flags.c_contiguous, rows.tobytes()
 
 
+def _assert_read_like_the_line_reader(path):
+    # (nonneg, positive) of check and epsmax, of project, and of an objective
+    for mode in [(True, True), (True, False), (False, False)]:
+        assert _read_outcome(cli._read_rows, path, *mode) == _read_outcome(_reference_read_rows, path, *mode)
+
+
 # whitespace that str.strip removes but that does not end a line of a text file
 _blank = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x85\u2028"), max_size=3)
 _valid_entry = st.sampled_from(["0", "1", "2.5", "1e-300", "1.7e308", " 7 ", "\x0c3", "4\u2028", "1_0"])
@@ -1073,7 +1105,10 @@ _entry = st.one_of(
     st.floats(min_value=0.0, allow_infinity=False).map(repr),
     st.sampled_from(["", "nan", "-nan", "inf", "-inf", "-1", "-0", "0x1", "oops", "1e999"]),
 )
-_comment = st.text(st.characters(exclude_characters="\r\n"), max_size=6).map("#".__add__)
+# a UTF-8 file cannot hold a lone surrogate (category Cs); undecodable bytes have their own test
+_comment = st.text(st.characters(exclude_characters="\r\n", exclude_categories=["Cs"]), max_size=6).map(
+    "#".__add__
+)
 _line_kinds = st.sampled_from(["row", "row", "row", "ragged", "zero", "comment", "blank"])
 
 
@@ -1103,10 +1138,45 @@ class TestReadRows:
     @given(text=_csv_texts())
     def test_same_rows_or_message_as_the_line_reader(self, csv_path, text):
         csv_path.write_bytes(text.encode("utf-8"))
-        path = str(csv_path)
-        # (nonneg, positive) of check and epsmax, of project, and of an objective
-        for mode in [(True, True), (True, False), (False, False)]:
-            assert _read_outcome(cli._read_rows, path, *mode) == _read_outcome(_reference_read_rows, path, *mode)
+        _assert_read_like_the_line_reader(str(csv_path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1_0,2\n",  # float() reads both, numpy refuses them
+            "\uff11,\uff12\n",
+            "1,2 # note\n",
+            "1,2\n# a comment\n",
+            "",
+            " \t\n  \n",
+            "1\n2\n",
+            "nan,1\n",
+            "1,2\n3,4,5\n",
+            "1,2,\n",
+        ],
+        ids=[
+            "underscore",
+            "fullwidth",
+            "trailing-comment",
+            "comment-line",
+            "empty",
+            "blank",
+            "one-column",
+            "nan",
+            "ragged",
+            "trailing-comma",
+        ],
+    )
+    def test_texts_numpy_refuses_or_never_sees(self, csv_path, text):
+        csv_path.write_text(text, encoding="utf-8")
+        _assert_read_like_the_line_reader(str(csv_path))
+
+    @pytest.mark.parametrize("text", ["", " \t\n\n"], ids=["empty", "blank"])
+    def test_empty_file_writes_only_its_error(self, capfd, recwarn, tmp_path, text):
+        path = write(tmp_path / "empty.csv", text)
+        assert main(["check", "--eps", "0.5", "--p", "2", "--input", path]) == 2
+        assert capfd.readouterr() == ("", f"fairctl: error: {path}: no vectors found\n")
+        assert not recwarn.list
 
     @pytest.mark.parametrize(
         "source, argv",
@@ -1123,7 +1193,7 @@ class TestReadRows:
 
     def test_byte_order_mark_is_dropped(self, capsys, tmp_path, monkeypatch):
         # the report echoes --input, so both files are read by the same relative name
-        original = Path(__file__).resolve().parent / "data" / "dispersion.csv"
+        original = _DATA / "dispersion.csv"
         reports = []
         for prefix in (b"", b"\xef\xbb\xbf"):
             folder = tmp_path / f"bom{len(prefix)}"
