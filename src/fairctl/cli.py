@@ -101,23 +101,25 @@ def _eps_grid(text: str) -> list[float]:
 def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.ndarray:
     """Parse a vector CSV into a (rows, n) array: one vector per line, '#' lines are comments.
 
-    The file is read once as UTF-8; a leading byte-order mark is dropped, and
-    a file that cannot be opened or decoded is named by its path. A non-blank
-    text without '#' goes to numpy's C parser, whose float parse gives
-    float's bits. Its result stands when it has n >= 2 columns and its rows
-    break no rule; any other text, and a text numpy refuses, goes to
-    _parse_lines, which gives every result and message. With positive, a
-    row needs a positive entry.
+    The file is read once as UTF-8 (a leading byte-order mark dropped); one that
+    cannot be opened or decoded is named by its path. Its data lines, blank and
+    comment lines dropped from a text with a '#', go to numpy's C parser, whose
+    float parse gives float's bits; the result stands when it has n >= 2 columns
+    and no row breaks a rule. Else _parse_lines gives the result or the message.
+    With positive, a row needs a positive entry.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}")
+    data = text
+    if "#" in text:
+        data = "\n".join(line for line in text.split("\n") if (kept := line.strip()) and kept[0] != "#")
     # a blank text would only make numpy warn that it holds no data
-    if text and not text.isspace() and "#" not in text:
+    if data and not data.isspace():
         try:
-            rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:
@@ -127,48 +129,34 @@ def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.nda
 
 
 def _parse_lines(path: str, text: str, nonneg: bool, positive: bool) -> np.ndarray:
-    """_read_rows on the file's text: comments and blank lines skipped, and each error named as path:line.
+    """_read_rows on the file's text, line by line: blank and comment lines skipped, the first bad line named.
 
-    The data lines are joined, all their entries go through one float map,
-    and the rows are checked as one array. Row widths come from comma
-    counts. Only a bad file is searched for its first bad line, from the
-    widths and the entry where the parse stopped. Every error names the
-    first bad line in file order, and within a line a bad entry comes
-    before a bad shape.
+    A line's error, path:line, names an entry float cannot read, else a rule
+    its row breaks, else fewer than 2 entries or another count than the first
+    row's.
     """
-    lines = [line.strip() for line in text.split("\n")]
-    data = [line for line in lines if line and line[0] != "#"]
-    if not data:
+    rows: list[list[float]] = []
+    for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
+        if not line or line[0] == "#":
+            continue
+        try:
+            row = [float(token) for token in line.split(",")]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed CSV row") from None
+        fault = _row_fault(np.array(row), nonneg, positive)
+        if fault is not None:
+            message = fault[1]
+        elif len(row) < 2:
+            message = "vectors need at least 2 entries"
+        elif rows and len(row) != len(rows[0]):
+            message = f"inconsistent dimension {len(row)} (expected {len(rows[0])})"
+        else:
+            rows.append(row)
+            continue
+        raise ValueError(f"{path}:{lineno}: {message}")
+    if not rows:
         raise ValueError(f"{path}: no vectors found")
-    widths = [line.count(",") + 1 for line in data]
-    n = widths[0]
-    bad, message = len(data), None  # the first bad data line, if any, and what is wrong with it
-    if n < 2 or widths.count(n) != len(data):
-        bad = next(k for k, width in enumerate(widths) if width < 2 or width != n)
-        width = widths[bad]
-        message = "vectors need at least 2 entries" if width < 2 else f"inconsistent dimension {width} (expected {n})"
-    tokens = ",".join(data[: bad + 1]).split(",")
-    try:
-        flat = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        for first, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                break
-        # every line before the first of a wrong shape holds n entries
-        bad, message = min(first // n, bad), "malformed CSV row"
-        flat = np.fromiter(map(float, tokens[: bad * n]), float, bad * n)
-    rows = flat[: bad * n].reshape(bad, n)
-    fault = _row_fault(rows, nonneg, positive)
-    if fault is None and message is not None:
-        # a shape error, unless the line's own entries, when they all parsed, break a rule first
-        own = _row_fault(flat[bad * n :], nonneg, positive) if flat.size > bad * n else None
-        fault = bad, message if own is None else own[1]
-    if fault is not None:
-        linenos = [k for k, line in enumerate(lines, start=1) if line and line[0] != "#"]
-        raise ValueError(f"{path}:{linenos[fault[0]]}: {fault[1]}")
-    return rows
+    return np.array(rows)
 
 
 def _read_objective(path: str) -> ObjectiveSpec:

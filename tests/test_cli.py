@@ -58,6 +58,55 @@ _OPTIMIZE_PINS = [
 ]
 
 
+def _copy_inputs(root, edit):
+    """root, holding copies of the pinned inputs with each line, its ending dropped, written as edit(line).
+
+    The reports echo --input and --objective, so the copies sit at the same
+    relative path, tests/data.
+    """
+    folder = root / "tests" / "data"
+    folder.mkdir(parents=True)
+    for name in ("dispersion.csv", "points.csv", "objective.csv"):
+        lines = (_DATA / name).read_text(encoding="utf-8").splitlines()
+        (folder / name).write_bytes("".join(map(edit, lines)).encode("utf-8"))
+    return root
+
+
+def _comment_free(line):
+    return "" if line.startswith("#") else line + "\n"
+
+
+def _crlf_variant(line):
+    """CI's copy: CRLF endings, indented comments, and a blank and a whitespace-only line after each line."""
+    return ("  \t" if line.startswith("#") else "") + line + "\r\n\r\n \t \r\n"
+
+
+#: where each pinned input set is read from, by id: the repository itself, or copies made under a folder
+_INPUT_SETS = {
+    "commented": lambda folder: Path(__file__).resolve().parents[1],
+    "comment-free": lambda folder: _copy_inputs(folder, _comment_free),
+    "crlf-variant": lambda folder: _copy_inputs(folder, _crlf_variant),
+}
+
+
+def _assert_the_pins_hold(capsys, monkeypatch, tmp_path, root):
+    """The seven check, epsmax, project, solve and sweep reports, run from root, have their pinned bytes."""
+    monkeypatch.chdir(root)
+    runs = [([*command, *_SCREEN_ARGS], status, digest) for command, status, digest in _SCREEN_PINS]
+    runs += [(argv, 0, digest) for argv, digest in _OPTIMIZE_PINS]
+    for argv, status, digest in runs:
+        out = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(out)) == (status, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+
+
+def _forbid_the_line_reader(monkeypatch):
+    def line_reader(path, *args):
+        raise AssertionError(f"{path} went to the line reader")
+
+    monkeypatch.setattr(cli, "_parse_lines", line_reader)
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -240,27 +289,26 @@ class TestBatchedRows:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_comment_free_copies_give_the_pinned_reports(self, capsys, tmp_path, monkeypatch):
-        # every pinned input has comment lines, which send it to the line
-        # reader; these copies have none, so numpy's reader must give the
-        # pinned bytes alone. The reports echo --input and --objective, so the
-        # copies sit at the same relative path.
-        folder = tmp_path / "tests" / "data"
-        folder.mkdir(parents=True)
-        for name in ("dispersion.csv", "points.csv", "objective.csv"):
-            lines = (_DATA / name).read_text(encoding="utf-8").splitlines(keepends=True)
-            (folder / name).write_text("".join(line for line in lines if line[0] != "#"), encoding="utf-8")
+        # copies of the pinned inputs without their comment lines, which numpy's
+        # reader reads as they are, must give the pinned bytes without the line reader
+        _forbid_the_line_reader(monkeypatch)
+        _assert_the_pins_hold(capsys, monkeypatch, tmp_path, _INPUT_SETS["comment-free"](tmp_path))
 
-        def line_reader(path, *args):
-            raise AssertionError(f"{path} went to the line reader")
+    @pytest.mark.parametrize("inputs", ["commented", "crlf-variant"])
+    def test_numpy_reads_commented_inputs_to_the_pinned_reports(self, capsys, tmp_path, monkeypatch, inputs):
+        # the pinned inputs, and CI's copy with CRLF endings, indented comments and
+        # blank and whitespace-only lines, lose those lines before numpy's reader
+        _forbid_the_line_reader(monkeypatch)
+        _assert_the_pins_hold(capsys, monkeypatch, tmp_path, _INPUT_SETS[inputs](tmp_path))
 
-        monkeypatch.setattr(cli, "_parse_lines", line_reader)
-        monkeypatch.chdir(tmp_path)
-        runs = [([*command, *_SCREEN_ARGS], status, digest) for command, status, digest in _SCREEN_PINS]
-        runs += [(argv, 0, digest) for argv, digest in _OPTIMIZE_PINS]
-        for argv, status, digest in runs:
-            out = tmp_path / "report.json"
-            assert run(capsys, *argv, "--out", str(out)) == (status, "", "")
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+    @pytest.mark.parametrize("inputs", list(_INPUT_SETS))
+    def test_line_reader_gives_the_pinned_reports(self, capsys, tmp_path, monkeypatch, inputs):
+        # numpy refuses every text, so every input goes to the line reader
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cli.np, "loadtxt", refuse)
+        _assert_the_pins_hold(capsys, monkeypatch, tmp_path, _INPUT_SETS[inputs](tmp_path))
 
 
 class TestProject:
@@ -1042,7 +1090,11 @@ class TestJsonWriter:
 
 
 def _reference_read_rows(path, nonneg=True, positive=False):
-    """The line-by-line reader that _read_rows replaced, kept as the reference for its results and messages."""
+    """A line-by-line reader written apart from cli's, kept as the reference for _read_rows' results and messages.
+
+    It reads lines with readlines, stops at the first line of a bad shape,
+    and checks the rows before it as one array before that line's own entries.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -1153,6 +1205,10 @@ class TestReadRows:
             "nan,1\n",
             "1,2\n3,4,5\n",
             "1,2,\n",
+            "1,2\n# c\n3,4\n",
+            "# c\n1,2 # note\n",
+            "# c\n1\n2\n",
+            "# c\n1,2\n3,4,5\n",
         ],
         ids=[
             "underscore",
@@ -1165,13 +1221,19 @@ class TestReadRows:
             "nan",
             "ragged",
             "trailing-comma",
+            "comment-between-rows",
+            "comment-then-trailing-comment",
+            "comment-then-one-column",
+            "comment-then-ragged",
         ],
     )
     def test_texts_numpy_refuses_or_never_sees(self, csv_path, text):
         csv_path.write_text(text, encoding="utf-8")
         _assert_read_like_the_line_reader(str(csv_path))
 
-    @pytest.mark.parametrize("text", ["", " \t\n\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize(
+        "text", ["", "\n\n", " \t\n\n", "# c\n  # d\n\n"], ids=["empty", "newlines-only", "blank", "comments-only"]
+    )
     def test_empty_file_writes_only_its_error(self, capfd, recwarn, tmp_path, text):
         path = write(tmp_path / "empty.csv", text)
         assert main(["check", "--eps", "0.5", "--p", "2", "--input", path]) == 2
