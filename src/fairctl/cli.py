@@ -133,30 +133,41 @@ def _parse_lines(path: str, text: str, nonneg: bool, positive: bool) -> np.ndarr
 
     A line's error, path:line, names an entry float cannot read, else a rule
     its row breaks, else fewer than 2 entries or another count than the first
-    row's.
+    row's. The loop reads lines up to the first that float cannot read or whose
+    count is bad; the rules are then judged with one _row_fault call over the
+    rows read.
     """
     rows: list[list[float]] = []
+    numbers: list[int] = []
+    stop = None  # the first line float cannot read or of a bad count: its number, its row and its message
     for lineno, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if not line or line[0] == "#":
             continue
         try:
             row = [float(token) for token in line.split(",")]
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed CSV row") from None
-        fault = _row_fault(np.array(row), nonneg, positive)
-        if fault is not None:
-            message = fault[1]
-        elif len(row) < 2:
-            message = "vectors need at least 2 entries"
-        elif rows and len(row) != len(rows[0]):
-            message = f"inconsistent dimension {len(row)} (expected {len(rows[0])})"
-        else:
-            rows.append(row)
-            continue
-        raise ValueError(f"{path}:{lineno}: {message}")
+            stop = lineno, None, "malformed CSV row"
+            break
+        if len(row) < 2:
+            stop = lineno, row, "vectors need at least 2 entries"
+            break
+        if rows and len(row) != len(rows[0]):
+            stop = lineno, row, f"inconsistent dimension {len(row)} (expected {len(rows[0])})"
+            break
+        rows.append(row)
+        numbers.append(lineno)
+    # the rows before that line, of one count, are judged at once; that line's own row after them
+    array = np.array(rows)
+    fault = _row_fault(array, nonneg, positive) if rows else None
+    if fault is not None:
+        raise ValueError(f"{path}:{numbers[fault[0]]}: {fault[1]}")
+    if stop is not None:
+        lineno, row, message = stop
+        fault = None if row is None else _row_fault(np.array(row), nonneg, positive)
+        raise ValueError(f"{path}:{lineno}: {message if fault is None else fault[1]}")
     if not rows:
         raise ValueError(f"{path}: no vectors found")
-    return np.array(rows)
+    return array
 
 
 def _read_objective(path: str) -> ObjectiveSpec:
@@ -184,19 +195,26 @@ _PLACE = re.compile(r'(?<![^ \n])"\\u0000"')
 _BOOL_TEXT = ("false", "true")
 
 
-def _columns(values) -> list:
-    """A range, or an int, float or bool array of k rows, as lists of k items whose str text is their JSON text.
+def _column(values) -> list | range:
+    """A range, or an int, float or bool array of k rows, as a sequence of k items whose str text is their JSON text.
 
-    A (k, m) array is m such lists, one per column.
+    A (k, m) float array is its k rows, each a list of m floats, whose text
+    depends on the indent of its place.
     """
     if isinstance(values, range):
-        return [values]
+        return values
     if values.dtype == bool:
-        return [[_BOOL_TEXT[v] for v in values.tolist()]]
+        return [_BOOL_TEXT[v] for v in values.tolist()]
     finite = np.isfinite(values)
     if not finite.all():
         _json_text(values[~finite].tolist())  # raises json's ValueError, which names the value
-    return [values.tolist()] if values.ndim == 1 else values.T.tolist()
+    return values.tolist()
+
+
+def _line_break(text: str) -> str:
+    """A newline and the indent of the last line of text."""
+    line = text[text.rfind("\n") + 1 :]
+    return "\n" + " " * (len(line) - len(line.lstrip(" ")))
 
 
 class _Table:
@@ -205,8 +223,8 @@ class _Table:
     row is the dict with each varying leaf given as its column: a range, a
     1-D int, float or bool array of k >= 1 values, or a (k, m >= 1) float
     array whose rows are list leaves. json.dumps writes the row with _SLOT
-    in those places, m of them in a list for a (k, m) column, and the text
-    between the places is put between the columns' texts for all k rows.
+    at each column's place, and the text between the places is put between
+    the columns' texts for all k rows.
     """
 
     def __init__(self, row: dict):
@@ -219,29 +237,35 @@ class _Table:
         if isinstance(value, list):
             return [self._sample(item) for item in value]
         if isinstance(value, (range, np.ndarray)):
-            columns = _columns(value)
-            self.columns += columns
-            return _SLOT if isinstance(value, range) or value.ndim == 1 else [_SLOT] * len(columns)
+            self.columns.append(_column(value))
+            return _SLOT
         return value
 
     def text(self, nl: str) -> str:
         """The table's JSON text at a place whose line starts with nl, a newline and that line's indent.
 
         The sample row, cut at its places, gives the literal segments, and the
-        columns' str texts (their JSON texts) go between them, one slice per
-        column, in one list that is joined once.
+        columns' texts go between them, one slice per column, in one list that
+        is joined once. A column's text is each item's str text; a row of a
+        (k, m) column is one join of its floats' texts at its place's indent.
         """
         inner = nl + "  "
         # json escapes a newline inside a string, so each "\n" ends a line of the sample
         sample = json.dumps(self.row, indent=2, allow_nan=False).replace("\n", inner)
-        first, *middle, last = _PLACE.split(sample)
+        segments = _PLACE.split(sample)
+        first, *middle, last = segments
         k, width = len(self.columns[0]), 2 * len(self.columns)
         # row i is texts[1 + i * width :][:width]: each place's text, then the segment after it
         texts = [None] * (1 + k * width)
         texts[0] = "[" + inner + first
         texts[2::2] = (middle + [last + "," + inner + first]) * k
         for j, column in enumerate(self.columns):
-            texts[1 + 2 * j :: width] = map(str, column)
+            if isinstance(column[0], list):  # the rows of a (k, m) column
+                at = _line_break(segments[j])
+                head, sep = "[" + at + "  ", "," + at + "  "
+                texts[1 + 2 * j :: width] = [head + sep.join(map(float.__repr__, row)) + at + "]" for row in column]
+            else:
+                texts[1 + 2 * j :: width] = map(str, column)
         texts[-1] = last + nl + "]"
         return "".join(texts)
 
@@ -262,8 +286,7 @@ def _json_pieces(value) -> list[str]:
     pieces = _PLACE.split(text)
     out = [pieces[0]]
     for table, before, piece in zip(tables, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1 :]
-        out += [table.text("\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
+        out += [table.text(_line_break(before)), piece]
     return out
 
 
@@ -283,13 +306,23 @@ def _write_file(path: str, pieces: list[str]) -> None:
 def _emit(doc: dict, out_path: str | None) -> None:
     """Write doc as json.dumps(doc, indent=2) writes it, its tables included; NaN or inf: exit 2.
 
-    The pieces are written one by one, so the report is never joined into one string.
+    The pieces are written one by one, so the report is never joined into one
+    string. A reader that closes stdout first (fairctl ... | head -1) ends the
+    command with exit 2 too.
     """
     pieces = _json_pieces(doc) + ["\n"]
-    if out_path is None:
-        sys.stdout.writelines(pieces)
-    else:
+    if out_path is not None:
         _write_file(out_path, pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # what is left in stdout's buffer goes to the null device, so the flush at exit cannot fail again
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise ValueError(f"cannot write the report to stdout: {exc}")
 
 
 def _assess(args, eps: float, tol: float = MEMBERSHIP_TOL):

@@ -11,8 +11,8 @@ uniform point e/n.
 
 Each formula has one implementation, written on the rows' norms along the
 last axis: ``_threshold_rows``, ``_member_rows``, ``_cv2_rows`` and, of eps,
-``_cv_bound_rows``. Each use takes its norms from one ``_pnorm_rows`` call:
-the scalar functions for one vector, ``dispersion_report`` for all rows of
+``_cv_bound_rows`` and ``_radius_rows``. Each use takes its norms from one
+``_pnorm_rows`` call: the scalar functions for one vector, ``dispersion_report`` for all rows of
 an array at every exponent, and ``_eps_rows`` for a verifier sample block.
 """
 
@@ -157,13 +157,17 @@ class ConeConstraint:
     p: float
 
 
+def _radius_rows(n: int, p: float, eps):
+    """The fair radius 1 / (1 + eps D_p) for a scalar eps or an array of them."""
+    return 1.0 / (1.0 + eps * dispersion_constant(n, p))
+
+
 def cone_constraint(n: int, spec: FairnessSpec) -> ConeConstraint:
     """Exportable cone description of the constraint for a given (eps, p).
 
-    The one place the fair radius is computed: the projection and the
-    solver read it from here.
+    The projection reads the fair radius from here; the solver, which needs
+    one per eps, reads _radius_rows, as this does.
     """
-    d = dispersion_constant(n, spec.p)
     if spec.p == 2.0:
         kind = "second-order"
     elif spec.p == INFINITY:
@@ -172,7 +176,7 @@ def cone_constraint(n: int, spec: FairnessSpec) -> ConeConstraint:
         kind = "lp-cone"
     return ConeConstraint(
         kind=kind,
-        radius=1.0 / (1.0 + spec.epsilon * d),
+        radius=_radius_rows(n, spec.p, spec.epsilon),
         n=n,
         epsilon=spec.epsilon,
         p=spec.p,

@@ -117,7 +117,7 @@ def project_simplex(y) -> SimplexVector:
     return SimplexVector(x / x.sum())
 
 
-def _sphere_point(y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+def _sphere_point(y: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
     """p = 2, ball active: x = 1/k + s (y - mean) on the support of the k largest y, and its mu, along the last axis.
 
     On the support x = s (y - mu) with s = 1 / (1 + ball multiplier), so
@@ -128,7 +128,8 @@ def _sphere_point(y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]
     support alone. The point is unchanged by y -> a y + b (a > 0), so y is
     mapped onto [-1, 0] first, which keeps the squares finite. Where r^2
     rounds onto 1/n, s = 0, x = e/n and mu is its limit, -infinity. mu has
-    the shape of y without its last axis.
+    the shape of y without its last axis. radius is one float, or a (k, 1)
+    column of one per row.
     """
     rows = y.reshape(-1, y.shape[-1])
     n = rows.shape[1]
@@ -137,7 +138,8 @@ def _sphere_point(y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]
     v = (rows - top) / spread
     u = np.sort(v)[:, ::-1]
     k = np.arange(1, n + 1)
-    square = max(radius * radius, 1.0 / n)  # r^2 >= 1/n, but can round below it near eps = 1
+    r = np.reshape(radius, (-1, 1))
+    square = np.maximum(r * r, 1.0 / n)  # r^2 >= 1/n, but can round below it near eps = 1
     mean = u.cumsum(-1) / k
     past = np.empty_like(u)
     past[:, -1] = math.inf
@@ -151,13 +153,13 @@ def _sphere_point(y: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]
         size = score.argmax(-1) + 1
         start = np.zeros_like(size)
         centre = _slice_sums(u, start, size) / size
-        scale = np.sqrt((square - 1.0 / size) / _slice_sums((u - centre[:, None]) ** 2, start, size))
+        scale = np.sqrt((square[:, 0] - 1.0 / size) / _slice_sums((u - centre[:, None]) ** 2, start, size))
         mu = np.where(scale > 0.0, top[:, 0] + (centre - 1.0 / (size * scale)) * spread[:, 0], -math.inf)
     x = np.maximum(1.0 / size[:, None] + scale[:, None] * (v - centre[:, None]), 0.0)
     return x.reshape(y.shape), mu.reshape(y.shape[:-1])
 
 
-def _capped_point(y: np.ndarray, radius: float) -> np.ndarray:
+def _capped_point(y: np.ndarray, radius) -> np.ndarray:
     """p = infinity, ball active: clip(y - mu, 0, r) with sum 1 along the last axis, by sorted breakpoints.
 
     The sum f(mu) falls piecewise linearly, with breakpoints at the y_i and
@@ -166,9 +168,11 @@ def _capped_point(y: np.ndarray, radius: float) -> np.ndarray:
     it runs on v, the sorted y with each gap wider than 2r cut to 2r: no
     free set spans such a gap, so the point is the same, and v lies in
     [0, 2 r n], so its sums keep every entry however large or wide y is.
+    radius is one float, or a (k, 1) column of one per row.
     """
     rows = y.reshape(-1, y.shape[-1])
     n = rows.shape[1]
+    radius = np.reshape(radius, (-1, 1))
     r = np.arange(len(rows))[:, None]  # the row of each gathered entry
     order = rows.argsort(kind="stable")
     ascending = rows[r, order]
@@ -186,7 +190,7 @@ def _capped_point(y: np.ndarray, radius: float) -> np.ndarray:
     j = np.maximum((f >= 1.0).sum(-1), 1)[:, None] - 1
     lo, hi = low[r, j][:, 0], free_end[r, j][:, 0]  # the free entries there
     # where lo == hi no entry is free and mu = t[j]; the divisor only keeps that branch finite
-    free_mu = ((n - hi) * radius + _slice_sums(v, lo, hi) - 1.0) / np.maximum(hi - lo, 1)
+    free_mu = ((n - hi) * radius[:, 0] + _slice_sums(v, lo, hi) - 1.0) / np.maximum(hi - lo, 1)
     mu = np.where(lo == hi, t[r, j][:, 0], free_mu)
     x = np.empty_like(rows)
     x[r, order] = np.clip(v - mu[:, None], 0.0, radius)

@@ -16,6 +16,11 @@ x(mu): a bracket on it closes until the mix of its two ends, the point on the
 ball that sums to 1, has a duality gap against the smaller end's g far below
 tol. The sum's range shrinks with 1 - eps, so no test on the sum could stop
 the search at every eps.
+
+Only the radius depends on eps, so a sweep solves its grid as a (k, n) stack
+of the same c: at p = 2 and p = infinity one sort-kernel call with a radius
+per row gives every point, bit for bit as solve gives it alone, since solve
+is the one-row case of the same body.
 """
 
 from __future__ import annotations
@@ -26,8 +31,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONVERGENCE_TOL, INFINITY, SimplexVector, _as_vector, _pnorm_rows, check_iterations, check_tolerance
-from .fairness import FairnessSpec, check_epsilon, coefficient_of_variation, cone_constraint, cv_bound, eps_max
+from .core import (
+    CONVERGENCE_TOL,
+    INFINITY,
+    SimplexVector,
+    _as_vector,
+    _check_simplex_sums,
+    _pnorm_rows,
+    _row_fault,
+    _row_sum,
+    check_exponent,
+    check_iterations,
+    check_tolerance,
+)
+
+# coefficient_of_variation and cv_bound have no caller here, but the benchmark's
+# fairbench/tracing.py wraps both by name
+from .fairness import (
+    FairnessSpec,
+    _cv2_rows,
+    _cv_bound_rows,
+    _radius_rows,
+    check_epsilon,
+    coefficient_of_variation,
+    cv_bound,
+    eps_max,
+)
 
 # project_fair_region has no caller here, but the benchmark's fairbench/tracing.py
 # wraps solver.project_fair_region and binds its max_iter argument by name
@@ -39,6 +68,10 @@ SOLVE_MAX_ITER = 20000
 #: An objective with max |c| above this is solved as c times a power of two, so that the search's
 #: differences c - mu and its doubling steps stay finite; the maximiser of a c . x is the same for a > 0
 SCALE_BOUND = 2.0**512
+
+#: Most entries, grid points times n, that a sweep solves in one stacked call; a longer grid is
+#: solved block by block, so its memory does not grow with the grid
+SWEEP_BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -141,27 +174,34 @@ def _kkt_root(c: np.ndarray, top: float, ties: np.ndarray, k: int, p: float, rad
             high, f_high, side = end, end[2], 1
 
 
-def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
-    """The maximiser of c . x over the fair region, its duality gap, convergence and x(mu) evaluations.
+def _maximize(c: np.ndarray, p: float, eps: np.ndarray, tol: float, max_evals: int):
+    """The maximisers of c . x over the fair regions at each eps of a 1-D array, as a (k, n) stack.
 
-    The gap converges at tol max(1, max |c|), the size of the values it is a difference of.
+    Returns the points, c . x and the duality gap of each, and the
+    evaluations of x(mu) per point. Rows where r is at most the norm of e/n
+    are e/n, with gap 0, and rows where the argmax ties fit in the ball are
+    their uniform point, whose bound is max c. At p = 2 and p = infinity
+    every other row comes from one call of the sort kernel over the stack;
+    at 2 < p < infinity each runs its own _kkt_root.
     """
     n = c.size
-    radius = cone_constraint(n, spec).radius
-    if spec.epsilon == 1.0 or radius * n ** (1.0 - 1.0 / spec.p) <= 1.0:
-        # the single point e/n: just below eps = 1 the radius can round onto its norm
-        return np.full(n, 1.0 / n), 0.0, True, 0
+    radius = _radius_rows(n, p, eps)
+    x = np.full((eps.size, n), 1.0 / n)
+    evals = np.zeros(eps.size, dtype=int)
+    # the single point e/n: just below eps = 1 the radius can round onto its norm
+    mean = (eps == 1.0) | (radius * n ** (1.0 - 1.0 / p) <= 1.0)
     top = float(c.max())
     ties = c == top
     k = int(np.count_nonzero(ties))
-    evals = 0
-    if radius * k ** (1.0 - 1.0 / spec.p) >= 1.0:
-        x, dual = ties / k, top
-    elif spec.p == 2.0:
-        x, mu = _sphere_point(c, radius)
-        mu = float(mu)
-        dual = mu + radius * float(_pnorm_rows(np.maximum(c - mu, 0.0), 2.0))
-    elif spec.p == INFINITY:
+    tied = ~mean & (radius * k ** (1.0 - 1.0 / p) >= 1.0)
+    x[tied] = ties / k
+    dual = np.full(eps.size, top)
+    rows = np.flatnonzero(~(mean | tied))
+    r = radius[rows, None]
+    if p == 2.0:
+        x[rows], mu = _sphere_point(c[None].repeat(rows.size, 0), r)
+        dual[rows] = mu + r[:, 0] * _pnorm_rows(np.maximum(c - mu[:, None], 0.0), 2.0)
+    elif p == INFINITY:
         # the dense rank of c, from one stable sort: equal entries (-0.0 and 0.0 too) share it
         order = c.argsort(kind="stable")
         ascending = c[order]
@@ -169,13 +209,40 @@ def _maximize(c: np.ndarray, spec: FairnessSpec, tol: float, max_evals: int):
         rises[1:] = ascending[1:] != ascending[:-1]
         rank = np.empty(n)
         rank[order] = rises.cumsum()
-        x = _capped_point(2.0 * radius * rank, radius)
-        mu = float(c[x > 0.0].min())
-        dual = mu + radius * float(np.maximum(c - mu, 0.0).sum())
+        x[rows] = _capped_point(2.0 * r * rank, r)
+        mu = np.where(x[rows] > 0.0, c, math.inf).min(axis=-1)
+        dual[rows] = mu + r[:, 0] * _row_sum(np.maximum(c - mu[:, None], 0.0))
     else:
-        x, dual, evals = _kkt_root(c, top, ties, k, spec.p, radius, tol, max_evals)
-    gap = dual - float(c @ x)
-    return x, gap, gap <= tol * max(1.0, float(np.abs(c).max())), evals
+        for i in rows.tolist():
+            x[i], dual[i], evals[i] = _kkt_root(c, top, ties, k, p, float(radius[i]), tol, max_evals)
+    # row by row: the product of the stack, x @ c, need not round as c @ x does
+    value = np.array([c @ point for point in x])
+    return x, value, np.where(mean, 0.0, dual - value), evals
+
+
+def _solve_rows(c: np.ndarray, p: float, eps: np.ndarray, tol: float, max_iter: int):
+    """solve at each eps of a 1-D array, in one body.
+
+    Returns the (k, n) maximisers and, per point, c . x, the CV, the duality
+    gap, convergence and evaluations. Every finite c is accepted: above
+    SCALE_BOUND the maximisers are found for c 2^s with max |c 2^s| in
+    [1, 2), and the gaps are scaled back by 2^-s. A gap converges at
+    tol max(1, max |c 2^s|), the size of the values it is a difference of.
+    The points pass the checks of SimplexVector, all at once.
+    """
+    big = float(np.abs(c).max())
+    shift = 1 - math.frexp(big)[1] if big > SCALE_BOUND else 0
+    scaled = np.ldexp(c, shift)
+    x, value, gap, evals = _maximize(scaled, p, eps, tol, max_iter)
+    fault = _row_fault(x)
+    if fault is not None:
+        raise ValueError(fault[1])
+    _check_simplex_sums(_row_sum(x))
+    if shift:
+        value = np.array([c @ point for point in x])
+    cv = np.sqrt(np.maximum(_cv2_rows(_pnorm_rows(x, 2.0), c.size), 0.0))
+    converged = gap <= tol * max(1.0, float(np.abs(scaled).max()))
+    return x, value, cv, np.ldexp(gap, -shift), converged, evals
 
 
 def solve(
@@ -191,22 +258,21 @@ def solve(
     The search on mu at 2 < p < infinity stops on that gap, at a hundredth of
     the bound, so it converges at every eps up to 1 unless max_iter cuts it.
     Every finite c is accepted: above SCALE_BOUND the search runs on c 2^s
-    with max |c 2^s| in [1, 2), and its gap is scaled back by 2^-s.
+    with max |c 2^s| in [1, 2), and its gap is scaled back by 2^-s. A solve
+    is a sweep of one point: both run _solve_rows.
     """
     tol = check_tolerance(tol)
     max_iter = check_iterations(max_iter)
-    c = obj.coefficients
-    big = float(np.abs(c).max())
-    shift = 1 - math.frexp(big)[1] if big > SCALE_BOUND else 0
-    x, gap, converged, iterations = _maximize(np.ldexp(c, shift), spec, tol, max_iter)
-    point = SimplexVector(x)
+    x, value, cv, gap, converged, evals = _solve_rows(
+        obj.coefficients, spec.p, np.array([spec.epsilon]), tol, max_iter
+    )
     return SolveResult(
-        x_opt=point,
-        objective_value=float(c @ x),
-        iterations=iterations,
-        converged=converged,
-        cv_at_opt=coefficient_of_variation(point),
-        duality_gap=math.ldexp(gap, -shift),
+        x_opt=SimplexVector(x[0]),
+        objective_value=float(value[0]),
+        iterations=int(evals[0]),
+        converged=bool(converged[0]),
+        cv_at_opt=float(cv[0]),
+        duality_gap=float(gap[0]),
         p=spec.p,
     )
 
@@ -216,27 +282,27 @@ def pareto_sweep(
     p: float,
     eps_grid=(0.0, 0.25, 0.5, 0.75, 1.0),
 ) -> list[ParetoPoint]:
-    """Trace the efficiency-vs-fairness frontier: one solve at each epsilon.
+    """Trace the efficiency-vs-fairness frontier: solve's answer at each epsilon.
 
-    The grid must be ascending within [0, 1]. A point whose duality gap
-    exceeds the default tolerance of solve is flagged on that point, not raised.
+    The grid must be ascending within [0, 1]. Each point equals solve at its
+    eps with the default tolerance and cap, bit for bit, but the grid is
+    solved in blocks of SWEEP_BLOCK_ENTRIES entries: at p = 2 and p = infinity
+    eps changes only the radius, so a block is one sort-kernel call. A point
+    whose duality gap exceeds the tolerance is flagged on that point, not raised.
     """
     grid = [check_epsilon(e) for e in eps_grid]
     if not grid:
         raise ValueError("epsilon grid must be non-empty")
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
+    p = check_exponent(p)
+    c = obj.coefficients
+    step = max(1, SWEEP_BLOCK_ENTRIES // c.size)
     points = []
-    for eps in grid:
-        spec = FairnessSpec(eps, p)
-        res = solve(obj, spec)
-        points.append(
-            ParetoPoint(
-                epsilon=eps,
-                objective_value=res.objective_value,
-                cv=res.cv_at_opt,
-                cv_bound=cv_bound(obj.coefficients.size, spec),
-                converged=res.converged,
-            )
-        )
+    for start in range(0, len(grid), step):
+        block = grid[start : start + step]
+        eps = np.array(block)
+        _, value, cv, _, converged, _ = _solve_rows(c, p, eps, CONVERGENCE_TOL, SOLVE_MAX_ITER)
+        bound = _cv_bound_rows(c.size, p, eps)
+        points += map(ParetoPoint, block, value.tolist(), cv.tolist(), bound.tolist(), converged.tolist())
     return points

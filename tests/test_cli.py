@@ -33,7 +33,7 @@ _SCREEN_PINS = [
 _SCREEN_ARGS = ["--p", "4,2,inf,2", "--input", "tests/data/dispersion.csv"]
 #: project on tests/data/points.csv, and solve and sweep on tests/data/objective.csv: the command and the
 #: sha256 of its report
-_OPTIMIZE_IDS = ["project", "project-p2", "project-p4", "solve", "sweep"]
+_OPTIMIZE_IDS = ["project", "project-p2", "project-p4", "solve", "sweep", "sweep-p2", "solve-pinf"]
 _OPTIMIZE_PINS = [
     (
         ["project", "--eps", "0.5", "--p", "inf", "--input", "tests/data/points.csv"],
@@ -54,6 +54,14 @@ _OPTIMIZE_PINS = [
     (
         ["sweep", "--p", "inf", "--eps-grid", "0:1:0.125", "--objective", "tests/data/objective.csv"],
         "d621364db638f8a0543b66869b6878c1af71fe37ea776b993418d95707ee6551",
+    ),
+    (
+        ["sweep", "--p", "2", "--eps-grid", "0:1:0.125", "--objective", "tests/data/objective.csv"],
+        "de64fa1aca1a3f83548d02a5f01fe7aa3e0c0b8a41d5cc042b39e5fba84a4288",
+    ),
+    (
+        ["solve", "--eps", "0.5", "--p", "inf", "--objective", "tests/data/objective.csv"],
+        "0f6f150735f368c293acfc464532f66188db54a26e7d8ba208ba5f2a942aa411",
     ),
 ]
 
@@ -90,7 +98,7 @@ _INPUT_SETS = {
 
 
 def _assert_the_pins_hold(capsys, monkeypatch, tmp_path, root):
-    """The seven check, epsmax, project, solve and sweep reports, run from root, have their pinned bytes."""
+    """The nine check, epsmax, project, solve and sweep reports, run from root, have their pinned bytes."""
     monkeypatch.chdir(root)
     runs = [([*command, *_SCREEN_ARGS], status, digest) for command, status, digest in _SCREEN_PINS]
     runs += [(argv, 0, digest) for argv, digest in _OPTIMIZE_PINS]
@@ -717,6 +725,28 @@ class TestReportShape:
         code, out, _ = run(capsys, "verify", "--suite", "corner", "--samples", "50")
         doc = json.loads(out)
         assert list(doc) == ["command", "inputs", "results", "seed", "version"]
+
+    @pytest.mark.parametrize("command", ["epsmax-1", "epsmax-2000", "verify"])
+    def test_a_reader_that_closes_first_gets_one_error_line(self, tmp_path, command):
+        # fairctl ... | head -1: the pipe's read end is closed before the command writes. A report of a
+        # few kB fails at the flush, a long one inside the write, and neither may fail again at exit
+        if command == "verify":
+            argv = ["verify", "--samples", "50"]
+        else:
+            rows = int(command.split("-")[1])
+            argv = ["epsmax", "--p", "2", "--input", write(tmp_path / "v.csv", "0.5,0.5,0,0\n" * rows)]
+        env = dict(os.environ, PYTHONPATH=str(Path(fairctl.__file__).resolve().parents[1]))
+        read, sink = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fairctl", *argv], stdout=sink, stderr=subprocess.PIPE,
+                env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(sink)
+        assert proc.returncode == 2
+        assert proc.stderr == "fairctl: error: cannot write the report to stdout: [Errno 32] Broken pipe\n"
 
     def test_out_flag_writes_file(self, capsys, tmp_path, half_half_csv):
         target = tmp_path / "report.json"

@@ -17,9 +17,9 @@ from fairctl import (
     solve,
 )
 
-from fairctl.core import COLUMN_ROW_LIMIT, COLUMN_ROWS_PER_ENTRY, _pnorm_rows
+from fairctl.core import COLUMN_ROW_LIMIT, COLUMN_ROWS_PER_ENTRY, _pnorm_rows, dispersion_constant
 from fairctl.fairness import cone_constraint
-from fairctl.geometry import ProjectionRows, _coordinate_roots, _fair_newton
+from fairctl.geometry import ProjectionRows, _capped_point, _coordinate_roots, _fair_newton, _sphere_point
 
 import oracles
 
@@ -510,6 +510,35 @@ class TestStackedRows:
         point, evals, residual, converged = expected[0]
         assert bits(one.point.values) == bits(point)
         assert (one.iterations, bits(one.residual), one.converged) == (evals, bits(residual), converged)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 200),
+        st.integers(1, 300),
+        st.sampled_from([2.0, INFINITY]),
+        st.booleans(),
+    )
+    # past the column rule, one row, and rows that share their sorted slices
+    @example(12, 3, COLUMN_ROWS_PER_ENTRY * 3, 2.0, True)
+    @example(13, 3, COLUMN_ROWS_PER_ENTRY * 3, INFINITY, False)
+    @example(14, 50, 1, 2.0, False)
+    def test_sort_kernels_take_a_radius_per_row(self, seed, n, count, p, permuted):
+        # each row of one call with a (k, 1) column of radii gives the bits of that row alone
+        rows = stacked_rows(seed, count, n, permuted)
+        if p == 2.0:
+            rows[rows.min(axis=-1) == rows.max(axis=-1), 0] += 1.0  # the sphere kernel takes no constant row
+        eps = np.random.default_rng(seed).uniform(0.0, 1.0, (len(rows), 1))
+        radius = 1.0 / (1.0 + eps * dispersion_constant(n, p))
+        if p == 2.0:
+            points, mu = _sphere_point(rows, radius)
+            alone = [_sphere_point(row, float(r)) for row, r in zip(rows, radius[:, 0])]
+            assert bits(mu) == bits([m for _, m in alone])
+            alone = [x for x, _ in alone]
+        else:
+            points = _capped_point(rows, radius)
+            alone = [_capped_point(row, float(r)) for row, r in zip(rows, radius[:, 0])]
+        assert bits(points) == bits(np.reshape(alone, points.shape))
 
     def test_a_bad_row_is_named(self):
         with pytest.raises(ValueError, match="row 1: entries must be finite"):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairctl
 
@@ -14,7 +16,6 @@ from fairctl import (
     INFINITY,
     FairnessSpec,
     ObjectiveSpec,
-    ParetoPoint,
     cv_bound,
     eps_max,
     is_fair,
@@ -26,6 +27,23 @@ from fairctl import (
 import oracles
 
 C321 = ObjectiveSpec([3.0, 2.0, 1.0])
+ONE = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def _objectives(draw):
+    """Normal, tied, constant and past-SCALE_BOUND objectives of 2 to 30 entries."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "ties", "constant", "huge", "huge ties"]))
+    c = rng.integers(0, 3, n).astype(float) if "ties" in kind else rng.standard_normal(n)
+    if kind == "constant":
+        c[:] = c[0]
+    return c * 1e300 if "huge" in kind else c
+
+
+# ascending grids that hold 0, nextafter(1, 0), 1 and a repeated eps
+_grids = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10).map(lambda v: sorted(v + v[:1] + [0.0, ONE, 1.0]))
 
 
 class TestObjectiveSpec:
@@ -309,18 +327,37 @@ class TestParetoSweep:
             hi = solve(c, FairnessSpec(0.5, 2)).objective_value
             assert lo <= hi + 1e-6
 
+    @settings(max_examples=25)
+    @given(_objectives(), _grids)
+    @example(np.random.default_rng(17).normal(size=20), [k / 8 for k in range(9)])
+    @example(np.array([2.0**600, -(2.0**600)]), [0.0, 0.5, 0.5, ONE, 1.0])
     @pytest.mark.parametrize("p", [2.0, 4.0, 10.0, INFINITY])
-    def test_points_equal_a_loop_of_solve(self, p):
-        c = ObjectiveSpec(np.random.default_rng(17).normal(size=20))
-        grid = [k / 8 for k in range(9)]
-        expected = []
-        for eps in grid:
+    def test_points_equal_a_loop_of_solve(self, p, c, grid):
+        # the stacked sweep gives each point the bits solve gives it alone
+        obj = ObjectiveSpec(c)
+        points = pareto_sweep(obj, p, eps_grid=grid)
+        assert [pt.epsilon for pt in points] == grid
+        for eps, point in zip(grid, points):
             spec = FairnessSpec(eps, p)
-            res = solve(c, spec)
-            expected.append(
-                ParetoPoint(eps, res.objective_value, res.cv_at_opt, cv_bound(20, spec), res.converged)
-            )
-        assert pareto_sweep(c, p, eps_grid=grid) == expected
+            res = solve(obj, spec)
+            expected = (res.objective_value.hex(), res.cv_at_opt.hex(), cv_bound(c.size, spec).hex(), res.converged)
+            assert (point.objective_value.hex(), point.cv.hex(), point.cv_bound.hex(), point.converged) == expected
+
+    @pytest.mark.parametrize("p", [2.0, INFINITY])
+    def test_a_sweep_is_one_kernel_call_per_block(self, monkeypatch, p):
+        name = "_sphere_point" if p == 2.0 else "_capped_point"
+        kernel = getattr(fairctl.solver, name)
+        calls = []
+        monkeypatch.setattr(fairctl.solver, name, lambda y, radius: calls.append(len(y)) or kernel(y, radius))
+        c = ObjectiveSpec(np.random.default_rng(3).normal(size=20))
+        grid = [k / 20 for k in range(21)]
+        points = pareto_sweep(c, p, eps_grid=grid)
+        # eps = 1 is e/n and eps = 0 the argmax vertex; every other point is a row of one call
+        assert calls == [19]
+        calls.clear()
+        monkeypatch.setattr(fairctl.solver, "SWEEP_BLOCK_ENTRIES", 8 * 20)
+        assert pareto_sweep(c, p, eps_grid=grid) == points
+        assert calls == [7, 8, 4]
 
     def test_eps_max_at_opt_is_computed_only_when_read(self, monkeypatch):
         calls = []
