@@ -574,7 +574,7 @@ def main(argv=None) -> int:
     try:
         doc, status = _COMMANDS[args.command](args)
         _emit(doc, args.out)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"fairctl: error: {exc}", file=sys.stderr)
         return 2
     return status

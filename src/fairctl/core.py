@@ -97,6 +97,17 @@ def _check_simplex_sums(sums) -> None:
         raise ValueError(f"simplex vector must sum to 1 within {SIMPLEX_SUM_TOL:g}, got sum {total!r}")
 
 
+def _check_simplex_rows(rows: np.ndarray, sums: np.ndarray) -> None:
+    """The checks of SimplexVector on every row of a stack at once, given its row sums.
+
+    The first row that breaks a rule of _row_fault is named by that rule; only then is the first sum off 1 named.
+    """
+    fault = _row_fault(rows)
+    if fault is not None:
+        raise ValueError(fault[1])
+    _check_simplex_sums(sums)
+
+
 class NonNegVector:
     """Immutable nonnegative vector with n >= 2 and at least one positive entry.
 

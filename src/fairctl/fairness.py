@@ -163,11 +163,7 @@ def _radius_rows(n: int, p: float, eps):
 
 
 def cone_constraint(n: int, spec: FairnessSpec) -> ConeConstraint:
-    """Exportable cone description of the constraint for a given (eps, p).
-
-    The projection reads the fair radius from here; the solver, which needs
-    one per eps, reads _radius_rows, as this does.
-    """
+    """Exportable cone description of the constraint for a given (eps, p)."""
     if spec.p == 2.0:
         kind = "second-order"
     elif spec.p == INFINITY:

@@ -29,15 +29,14 @@ from .core import (
     NonNegVector,
     SimplexVector,
     _as_vector,
-    _check_simplex_sums,
+    _check_simplex_rows,
     _pnorm_rows,
-    _row_fault,
     _row_max,
     _row_sum,
     check_iterations,
     check_tolerance,
 )
-from .fairness import FairnessSpec, cone_constraint
+from .fairness import FairnessSpec, _radius_rows
 
 
 @dataclass(frozen=True)
@@ -325,7 +324,7 @@ def _project_rows(rows: np.ndarray, spec: FairnessSpec, tol: float, max_iter: in
         totals = _row_sum(points)
     else:
         p = spec.p
-        radius = cone_constraint(n, spec).radius
+        radius = _radius_rows(n, p, spec.epsilon)
         x, tau = _simplex_point(rows)
         gap = np.zeros(count)
         ball_gap = np.zeros(count)
@@ -348,11 +347,7 @@ def _project_rows(rows: np.ndarray, spec: FairnessSpec, tol: float, max_iter: in
             -points.min(axis=-1),
             _pnorm_rows(points, p) / radius - 1.0,
         )
-    # the checks of SimplexVector, on every point at once
-    fault = _row_fault(points)
-    if fault is not None:
-        raise ValueError(fault[1])
-    _check_simplex_sums(totals)
+    _check_simplex_rows(points, totals)
     points.flags.writeable = False
     return ProjectionRows(
         points=points,

@@ -36,9 +36,8 @@ from .core import (
     INFINITY,
     SimplexVector,
     _as_vector,
-    _check_simplex_sums,
+    _check_simplex_rows,
     _pnorm_rows,
-    _row_fault,
     _row_sum,
     check_exponent,
     check_iterations,
@@ -101,7 +100,7 @@ class SolveResult:
 
     @functools.cached_property
     def eps_max_at_opt(self) -> float:
-        """The largest eps the optimum meets at p; computed on first read, since sweeps never read it."""
+        """The largest eps the optimum meets at p; computed on first read, as a caller may never read it."""
         return eps_max(self.x_opt, self.p)
 
 
@@ -121,7 +120,7 @@ def _kkt_root(c: np.ndarray, top: float, ties: np.ndarray, k: int, p: float, rad
 
     Each end of the bracket keeps (mu, x(mu), sum - 1, g(mu)). The upper end
     starts at mu = top = max c, where x(mu) is the uniform point on the k ties
-    (the mask _maximize found) scaled onto the ball, and the lower end at
+    (the mask _solve_rows found) scaled onto the ball, and the lower end at
     mu = -infinity, where it is e/n scaled onto the ball. Trials step down
     from max c, doubling, until the lower end is finite; then Illinois secant
     steps run, with bisection when one leaves the bracket. Each iteration
@@ -133,7 +132,7 @@ def _kkt_root(c: np.ndarray, top: float, ties: np.ndarray, k: int, p: float, rad
     n = c.size
     power = 1.0 / (p - 1.0)
     q = p / (p - 1.0)
-    # the sums _maximize tested, r k^(1 - 1/p) < 1 < r n^(1 - 1/p), so the mix never divides by zero
+    # the sums _solve_rows tested, r k^(1 - 1/p) < 1 < r n^(1 - 1/p), so the mix never divides by zero
     high = (top, ties * (radius * k ** (-1.0 / p)), radius * k ** (1.0 - 1.0 / p) - 1.0, top)
     low = (-math.inf, np.full(n, radius * n ** (-1.0 / p)), radius * n ** (1.0 - 1.0 / p) - 1.0, math.inf)
     f_low, f_high = low[2], high[2]  # the secant's values, Illinois-damped
@@ -174,73 +173,56 @@ def _kkt_root(c: np.ndarray, top: float, ties: np.ndarray, k: int, p: float, rad
             high, f_high, side = end, end[2], 1
 
 
-def _maximize(c: np.ndarray, p: float, eps: np.ndarray, tol: float, max_evals: int):
-    """The maximisers of c . x over the fair regions at each eps of a 1-D array, as a (k, n) stack.
+def _solve_rows(c: np.ndarray, p: float, eps: np.ndarray, tol: float, max_iter: int):
+    """solve at each eps of a 1-D array, as one (k, n) stack.
 
-    Returns the points, c . x and the duality gap of each, and the
-    evaluations of x(mu) per point. Rows where r is at most the norm of e/n
-    are e/n, with gap 0, and rows where the argmax ties fit in the ball are
-    their uniform point, whose bound is max c. At p = 2 and p = infinity
-    every other row comes from one call of the sort kernel over the stack;
-    at 2 < p < infinity each runs its own _kkt_root.
+    Returns the maximisers and, per point, c . x, the CV, the duality gap,
+    convergence and evaluations of x(mu). Every finite c is accepted: above
+    SCALE_BOUND the points are found for c 2^s with max |c 2^s| in [1, 2),
+    and the gaps are scaled back by 2^-s. Rows where r is at most the norm
+    of e/n are e/n, with gap 0, and rows where the argmax ties fit in the
+    ball are their uniform point, whose bound is max c. At p = 2 and
+    p = infinity every other row comes from one call of the sort kernel over
+    the stack; at 2 < p < infinity each runs its own _kkt_root. A gap
+    converges at tol max(1, max |c 2^s|), the size of the values it is a
+    difference of. The points pass the checks of SimplexVector, all at once.
     """
     n = c.size
+    big = float(np.abs(c).max())
+    shift = 1 - math.frexp(big)[1] if big > SCALE_BOUND else 0
+    scaled = np.ldexp(c, shift)
     radius = _radius_rows(n, p, eps)
     x = np.full((eps.size, n), 1.0 / n)
     evals = np.zeros(eps.size, dtype=int)
     # the single point e/n: just below eps = 1 the radius can round onto its norm
     mean = (eps == 1.0) | (radius * n ** (1.0 - 1.0 / p) <= 1.0)
-    top = float(c.max())
-    ties = c == top
+    top = float(scaled.max())
+    ties = scaled == top
     k = int(np.count_nonzero(ties))
     tied = ~mean & (radius * k ** (1.0 - 1.0 / p) >= 1.0)
     x[tied] = ties / k
     dual = np.full(eps.size, top)
     rows = np.flatnonzero(~(mean | tied))
     r = radius[rows, None]
-    if p == 2.0:
-        x[rows], mu = _sphere_point(c[None].repeat(rows.size, 0), r)
-        dual[rows] = mu + r[:, 0] * _pnorm_rows(np.maximum(c - mu[:, None], 0.0), 2.0)
-    elif p == INFINITY:
-        # the dense rank of c, from one stable sort: equal entries (-0.0 and 0.0 too) share it
-        order = c.argsort(kind="stable")
-        ascending = c[order]
-        rises = np.zeros(n)
-        rises[1:] = ascending[1:] != ascending[:-1]
-        rank = np.empty(n)
-        rank[order] = rises.cumsum()
-        x[rows] = _capped_point(2.0 * r * rank, r)
-        mu = np.where(x[rows] > 0.0, c, math.inf).min(axis=-1)
-        dual[rows] = mu + r[:, 0] * _row_sum(np.maximum(c - mu[:, None], 0.0))
-    else:
+    if 2.0 < p < INFINITY:
         for i in rows.tolist():
-            x[i], dual[i], evals[i] = _kkt_root(c, top, ties, k, p, float(radius[i]), tol, max_evals)
+            x[i], dual[i], evals[i] = _kkt_root(scaled, top, ties, k, p, float(radius[i]), tol, max_iter)
+    else:
+        if p == 2.0:
+            x[rows], mu = _sphere_point(scaled[None].repeat(rows.size, 0), r)
+        else:
+            # the dense rank of c: equal entries (-0.0 and 0.0 too) share it
+            x[rows] = _capped_point(2.0 * r * np.unique(scaled, return_inverse=True)[1], r)
+            mu = np.where(x[rows] > 0.0, scaled, math.inf).min(axis=-1)
+        q = 2.0 if p == 2.0 else 1.0
+        dual[rows] = mu + r[:, 0] * _pnorm_rows(np.maximum(scaled - mu[:, None], 0.0), q)
+    _check_simplex_rows(x, _row_sum(x))
     # row by row: the product of the stack, x @ c, need not round as c @ x does
-    value = np.array([c @ point for point in x])
-    return x, value, np.where(mean, 0.0, dual - value), evals
-
-
-def _solve_rows(c: np.ndarray, p: float, eps: np.ndarray, tol: float, max_iter: int):
-    """solve at each eps of a 1-D array, in one body.
-
-    Returns the (k, n) maximisers and, per point, c . x, the CV, the duality
-    gap, convergence and evaluations. Every finite c is accepted: above
-    SCALE_BOUND the maximisers are found for c 2^s with max |c 2^s| in
-    [1, 2), and the gaps are scaled back by 2^-s. A gap converges at
-    tol max(1, max |c 2^s|), the size of the values it is a difference of.
-    The points pass the checks of SimplexVector, all at once.
-    """
-    big = float(np.abs(c).max())
-    shift = 1 - math.frexp(big)[1] if big > SCALE_BOUND else 0
-    scaled = np.ldexp(c, shift)
-    x, value, gap, evals = _maximize(scaled, p, eps, tol, max_iter)
-    fault = _row_fault(x)
-    if fault is not None:
-        raise ValueError(fault[1])
-    _check_simplex_sums(_row_sum(x))
+    value = np.array([scaled @ point for point in x])
+    gap = np.where(mean, 0.0, dual - value)
     if shift:
         value = np.array([c @ point for point in x])
-    cv = np.sqrt(np.maximum(_cv2_rows(_pnorm_rows(x, 2.0), c.size), 0.0))
+    cv = np.sqrt(np.maximum(_cv2_rows(_pnorm_rows(x, 2.0), n), 0.0))
     converged = gap <= tol * max(1.0, float(np.abs(scaled).max()))
     return x, value, cv, np.ldexp(gap, -shift), converged, evals
 

@@ -712,6 +712,14 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "corner", "--samples", "50")
         assert code == 2
 
+    def test_a_workspace_too_large_to_allocate_exits_two(self, capsys):
+        # (10^15 + 1) * 2 float64 slots are 16 PB each, past a 2^47-byte address space: nothing is reserved
+        code, out, err = run(capsys, "verify", "--suite", "corner", "--samples", "1000000000000000", "--n-values", "2")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("fairctl: error: Unable to allocate ")
+
 
 class TestReportShape:
     def test_top_level_key_order(self, capsys, half_half_csv):

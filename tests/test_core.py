@@ -17,6 +17,7 @@ from fairctl import (
 from fairctl.core import (
     COLUMN_ROWS_PER_ENTRY,
     SIMPLEX_SUM_TOL,
+    _check_simplex_rows,
     _log_rows,
     _pnorm_rows,
     _power_sum_rows,
@@ -76,6 +77,18 @@ class TestVectorTypes:
     def test_uniform_constructor(self):
         u = SimplexVector.uniform(4)
         assert u.values.tolist() == [0.25] * 4
+
+    def test_stack_check_judges_faults_before_sums(self):
+        valid = [0.25, 0.75]
+        _check_simplex_rows(np.array([valid, valid]), np.array([1.0, 1.0]))
+        # a nan row after an off-sum row is named by its rule, not by the sum before it
+        rows = np.array([valid, [0.5, 0.6], [math.nan, 1.0]])
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            _check_simplex_rows(rows, _row_sum(rows))
+        # of two off-sum rows, the first sum is named
+        rows = np.array([valid, [0.5, 0.6], [0.5, 0.7]])
+        with pytest.raises(ValueError, match=r"got sum 1\.1$"):
+            _check_simplex_rows(rows, _row_sum(rows))
 
 
 # ----------------------------------------------------------------- p_norm

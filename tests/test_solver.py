@@ -28,6 +28,7 @@ import oracles
 
 C321 = ObjectiveSpec([3.0, 2.0, 1.0])
 ONE = float(np.nextafter(1.0, 0.0))
+SIGNED_ZEROS = np.array([0.0, -0.0, 1.0, -1.0, 1.0, 0.0])
 
 
 @st.composite
@@ -331,6 +332,7 @@ class TestParetoSweep:
     @given(_objectives(), _grids)
     @example(np.random.default_rng(17).normal(size=20), [k / 8 for k in range(9)])
     @example(np.array([2.0**600, -(2.0**600)]), [0.0, 0.5, 0.5, ONE, 1.0])
+    @example(SIGNED_ZEROS, [0.0, 0.5, ONE, 1.0])
     @pytest.mark.parametrize("p", [2.0, 4.0, 10.0, INFINITY])
     def test_points_equal_a_loop_of_solve(self, p, c, grid):
         # the stacked sweep gives each point the bits solve gives it alone
@@ -342,6 +344,17 @@ class TestParetoSweep:
             res = solve(obj, spec)
             expected = (res.objective_value.hex(), res.cv_at_opt.hex(), cv_bound(c.size, spec).hex(), res.converged)
             assert (point.objective_value.hex(), point.cv.hex(), point.cv_bound.hex(), point.converged) == expected
+
+    def test_signed_zeros_share_a_level_at_infinity(self):
+        # -0.0 and 0.0 are one level of the capped-simplex point; the -1.0 entry gets none of the mass
+        obj = ObjectiveSpec(SIGNED_ZEROS)
+        res = solve(obj, FairnessSpec(0.5, INFINITY))
+        x = res.x_opt.values
+        assert len({x[0].hex(), x[1].hex(), x[5].hex()}) == 1
+        assert x[3] == 0.0
+        point = pareto_sweep(obj, INFINITY, eps_grid=[0.0, 0.5, 1.0])[1]
+        assert point.objective_value.hex() == res.objective_value.hex()
+        assert point.cv.hex() == res.cv_at_opt.hex()
 
     @pytest.mark.parametrize("p", [2.0, INFINITY])
     def test_a_sweep_is_one_kernel_call_per_block(self, monkeypatch, p):
