@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -119,7 +118,7 @@ def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.nda
     # a blank text would only make numpy warn that it holds no data
     if data and not data.isspace():
         try:
-            rows = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
+            rows = np.loadtxt(data.split("\n"), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
         else:

@@ -266,7 +266,8 @@ def _pnorm_rows(rows: np.ndarray, p, work: _Workspace = _NO_WORKSPACE) -> np.nda
     rows = np.asarray(rows, dtype=float)
     chain = p if isinstance(p, (tuple, list)) else (p,)
     norms = np.empty((len(chain),) + rows.shape[:-1])
-    peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
+    if set(chain) != {1.0}:  # p = 1 alone is a row sum and needs no peak
+        peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
     if set(chain) - {1.0, INFINITY}:  # some finite p other than 1 needs the ratio block
         ratios = np.divide(rows, peak, out=work.like("ratio", rows))
     for k, q in enumerate(chain):

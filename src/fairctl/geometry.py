@@ -7,7 +7,9 @@ ball and is exact. At p = 2 it is the point of the sphere ||x||_2 = r on
 the support of the k largest y, and at p = infinity the capped-simplex
 projection clip(y - mu, 0, r) (Wang & Lu 2015, arXiv:1503.01002); one sort
 finds either. At finite p > 2 one safeguarded Newton iteration solves for
-the multiplier mu of sum(x) = 1 and the ball multiplier kappa together.
+the point z, the multiplier mu of sum(x) = 1 and the ball multiplier kappa
+together: each evaluation of z is one Newton step on all three, and z is
+solved coordinate by coordinate only at the start and after a safeguard.
 
 The sort kernels work along the last axis, as core's row kernels do: a
 1-D vector is one row. ``project_fair_region`` also takes a (k, n) stack of
@@ -74,6 +76,8 @@ _MAX_INNER = 100
 #: Relative gap to the ball within which the fair-region projection meets it;
 #: the ball is met far more tightly than the sum.
 _BALL_TOL = 1e-13
+#: Ulps within which a coordinate equation holds to rounding.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 def _slice_sums(rows: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -234,72 +238,97 @@ def _coordinate_roots(w: np.ndarray, p: float, kappa: float) -> np.ndarray:
 
 
 def _fair_newton(y: np.ndarray, p: float, radius: float, tau: float, tol: float, max_evals: int):
-    """Finite p > 2 with the ball active: Newton on (mu, kappa) for sum z = 1 and ||z||_p = radius.
+    """Finite p > 2 with the ball active: Newton on (z, mu, kappa) for sum z = 1 and ||z||_p = radius.
 
-    z(mu, kappa) solves z + (kappa z)^(p-1) = (y - mu)_+ per coordinate;
-    both conditions fall in mu and in kappa, and the implicit-function
-    derivatives dz/dw = 1 / (1 + (p-1) kappa^(p-1) z^(p-2)) and
-    dz/dkappa = -dz/dw (p-1) kappa^(p-2) z^(p-1) give the Jacobian. The
-    point is unchanged by a shift of y, so it runs on y - min y, where the
-    steps of mu resolve however far y is offset (on y - max y they need not). The
-    start mu = min(tau, min y) - 1/n puts every coordinate in the support
-    (the Jacobian is singular when the z on it are equal), and
-    kappa = 1 / radius is the scale of the root.
+    z solves F = z + (kappa z)^(p-1) - (y - mu)_+ = 0 per coordinate. One evaluation is one
+    Newton step on all of it: with dz/dw = 1 / (1 + (p-1) kappa^(p-1) z^(p-2)) and dz/dkappa,
+    the linear system reduces to the 2 x 2 one on (mu, kappa), whose gaps carry the correction
+    -F dz/dw. z then moves with the step, linearly in mu and in kappa as the power law of its
+    two regimes (z = w where the power term vanishes, z ~ 1/kappa where it rules), clipped to
+    [min(w/2, 2^(1/(1-p)) h), min(w, h)] with h = w^(1/(p-1)) / kappa, which holds its root: 0
+    off the support, and a coordinate that enters starts near its root. ``_coordinate_roots``
+    gives the exact z (F = 0) at the start, after a safeguard step, and always past p = 2^52.
 
-    mu moves only from a point where the sign of the sum gap at the ball's
-    own kappa is settled: the point is on the ball, the two gaps have
-    opposite signs (then the sign is exact), or the first-order kappa
-    correction of the sum gap is under a quarter of it. Such points narrow
-    a bracket on mu whose upper end starts at the smaller of tau and the
-    second-largest y (fewer than two coordinates cannot sum to 1 on a ball
-    of radius < 1); a step out of it bisects it, or doubles down while its
-    lower end is open. Elsewhere kappa alone takes a Newton step. Returns
-    z, both gaps and the evaluation count.
+    It runs on y - min y, where steps of mu resolve however far y is offset. The start
+    mu = min(tau, min y) - 1/n puts every coordinate in the support, and kappa = 1 / radius
+    is the scale of the root. An exact point narrows a bracket on mu, whose upper end starts
+    at the smaller of tau and the second-largest y, when the sign of its sum gap at the
+    ball's own kappa is settled: on the ball, gaps of opposite signs, or a first-order kappa
+    correction under a quarter of the sum gap. There a step out of the bracket bisects it, or
+    doubles down while its lower end is open; elsewhere a step out of the bracket, a kappa
+    that is not positive and finite, or a step that moves nothing or reverses a shorter one
+    re-solves z where it stands. Where such a step's sign is open, or z is on the ball up to
+    its scale, kappa alone steps. The iteration stops where the sum and ball tests hold, F is
+    zero to rounding, and z / sum z is on the ball as tightly as z, or mu's rounding allows
+    no closer point. Returns z, both gaps and the evaluation count.
     """
     n = y.size
     y, tau = y - y.min(), tau - float(y.min())
-    mu = min(tau, 0.0) - 1.0 / n
-    kappa = 1.0 / radius
+    mu, kappa = min(tau, 0.0) - 1.0 / n, 1.0 / radius
     lo, hi = -math.inf, min(tau, float(np.partition(y, n - 2)[n - 2]))
-    evals = 0
+    evals, last, z = 0, 0.0, None
+    jac = np.empty((3, n))  # rows: the correction -F dz/dw, dz/dmu and dz/dkappa
+    widen = 1.0 + 1e-12 / (p - 1.0)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         while True:
-            support = y > mu
-            z = _coordinate_roots(np.where(support, y - mu, 0.0), p, kappa)
-            evals += 1
-            norm = float(_pnorm_rows(z, p))
-            sum_gap, ball_gap = float(z.sum()) - 1.0, norm / radius - 1.0
-            if (abs(sum_gap) <= 1e-2 * tol and abs(ball_gap) <= _BALL_TOL) or evals >= max_evals:
-                return z, sum_gap, ball_gap, evals
-            # 1 / ((p-1) (kappa z)^(p-2)), inf where the power term vanishes, keeps huge p finite
-            u = 1.0 / ((p - 1.0) * (kappa * z) ** (p - 2.0))
-            dz_dw = np.where(support, 1.0 / (1.0 + kappa / u), 0.0)
-            dz_dkappa = -z / (kappa + u)
-            weight = (z / norm) ** (p - 1.0) / radius  # gradient of norm / radius
-            # numpy scalars, so that a singular Jacobian gives inf or nan, not an exception
-            s_mu, s_kappa = -dz_dw.sum(), dz_dkappa.sum()
-            b_mu, b_kappa = -(weight @ dz_dw), weight @ dz_dkappa
-            settled = (
-                sum_gap * ball_gap < 0.0
-                or abs(ball_gap) <= _BALL_TOL
-                or abs(s_kappa * ball_gap / b_kappa) <= 0.25 * abs(sum_gap)
-            )
-            if settled:
-                if sum_gap > 0.0:
-                    lo = mu
-                else:
-                    hi = mu
-                det = s_mu * b_kappa - s_kappa * b_mu
-                step = (ball_gap * s_kappa - sum_gap * b_kappa) / det
-                if lo < mu + step < hi:
-                    new_kappa = kappa + (sum_gap * b_mu - ball_gap * s_mu) / det
-                else:
-                    step = (0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * max(hi - mu, 1.0 / n)) - mu
-                    new_kappa = kappa - (ball_gap + b_mu * step) / b_kappa
-                mu += step
+            w = np.maximum(y - mu, 0.0)
+            exact = z is None or p > 2.0**52  # there one ulp of z moves (kappa z)^(p-1) by a factor e
+            if exact:
+                z = _coordinate_roots(w, p, kappa)
             else:
-                new_kappa = kappa - ball_gap / b_kappa
-            kappa = new_kappa if 0.0 < new_kappa < math.inf else 0.5 * kappa
+                h = w ** (1.0 / (p - 1.0)) / kappa
+                # widened, h bounds the root though 1/(p-1) rounds: that moves h by up to ln(w) ulp(1/(p-1))
+                z = np.fmin(np.fmax(z, np.minimum(0.5 * w, 0.5 ** (1.0 / (p - 1.0)) * h)), np.minimum(w, h * widen))
+            evals += 1
+            kz = kappa * z
+            slope = kz ** (p - 2.0)
+            power = slope * kz  # (kappa z)^(p-1)
+            f = 0.0 if exact else z + power - w  # F of an exact z is 0, also where the power overflows
+            peak = z.max()  # the norm, max-factored as in _pnorm_rows, and its gradient from one block
+            ratio_power = (z / peak) ** (p - 1.0)
+            norm = peak * float(z @ ratio_power / peak) ** (1.0 / p)
+            sum_gap, ball_gap = float(z.sum()) - 1.0, norm / radius - 1.0
+            # the tests, and F zero to rounding, where y - mu rounds by ulp(y) too
+            met = abs(sum_gap) <= 1e-2 * tol and abs(ball_gap) <= _BALL_TOL
+            met = met and (exact or bool((np.abs(f) <= _ROUNDING * (z + p * power + w + y)).all()))
+            if met and abs(ball_gap - sum_gap) <= _BALL_TOL or evals >= max_evals:
+                return z, sum_gap, ball_gap, evals
+            gaps = sum_gap, ball_gap
+            u = 1.0 / ((p - 1.0) * slope)  # inf where the power term vanishes, which keeps huge p finite
+            np.divide(w > 0.0, -1.0 - kappa / u, out=jac[1])
+            np.divide(-z, kappa + u, out=jac[2])
+            np.multiply(f, jac[1], out=jac[0])
+            weight = ratio_power * ((peak / norm) ** (p - 1.0) / radius)  # the gradient of norm / radius
+            # the gaps of the exact z to first order, and their derivatives; nan, not an exception, if singular
+            (ds, s_mu, s_kappa), (db, b_mu, b_kappa) = jac.sum(1).tolist(), (jac @ weight).tolist()
+            sum_gap, ball_gap, b_kappa = sum_gap + ds, ball_gap + db, b_kappa or math.nan
+            det = s_mu * b_kappa - s_kappa * b_mu or math.nan
+            step = (ball_gap * s_kappa - sum_gap * b_kappa) / det
+            new_kappa = kappa + (sum_gap * b_mu - ball_gap * s_mu) / det
+            if met and mu + step == mu:
+                return (z, *gaps, evals)
+            settled = sum_gap * ball_gap < 0.0 or abs(ball_gap) <= _BALL_TOL
+            settled = settled or abs(s_kappa * ball_gap / b_kappa) <= 0.25 * abs(sum_gap)
+            if exact:
+                if settled:
+                    lo, hi = (mu, hi) if sum_gap > 0.0 else (lo, mu)
+                rejected = not lo < mu + step < hi
+            else:
+                rejected = step * last < -last * last or (mu + step == mu and new_kappa == kappa)
+                rejected = rejected or not (lo < mu + step < hi and 0.0 < new_kappa < math.inf)
+            if abs(ball_gap - sum_gap) <= _BALL_TOL or rejected and not settled:
+                step, new_kappa = 0.0, kappa - ball_gap / b_kappa
+            elif rejected and not exact:
+                z = None
+                continue
+            elif rejected:
+                step = (0.5 * (lo + hi) if lo > -math.inf else hi - 2.0 * max(hi - mu, 1.0 / n)) - mu
+                new_kappa, z = kappa - (ball_gap + b_mu * step) / b_kappa, None
+            if not 0.0 < new_kappa < math.inf:
+                new_kappa, z = 0.5 * kappa, None
+            if z is not None:
+                z = (z + jac[0] + step * jac[1]) * (kappa / new_kappa) ** (1.0 + jac[1])
+            mu, kappa, last = mu + step, new_kappa, step
 
 
 def _first_max(*terms: np.ndarray) -> np.ndarray:
@@ -368,13 +397,15 @@ def project_fair_region(
     When the simplex projection of y, the point at the simplex threshold
     tau, lies in the ball, it is the answer. Otherwise, at p = 2 and
     p = infinity, the exact sort-based forms give the point on the ball;
-    at finite p > 2 one Newton iteration on the multiplier mu of
+    at finite p > 2 one Newton iteration on x, the multiplier mu of
     sum(x) = 1 and the ball multiplier kappa (``_fair_newton``) meets both
-    the sum and the ball. iterations counts evaluations of x, at most
-    max_iter, and is 1 at eps = 1, at p = 2 and at p = infinity. The point
-    is x / sum x; its residual, the larger of the remaining sum and ball
-    gaps and the point's violation of sum = 1, x >= 0 and the ball,
-    certifies optimality, and a residual above tol is the failure signal.
+    the sum and the ball; an evaluation of x is one Newton step on all
+    three, or an exact solve of x at the start and after a safeguard step.
+    iterations counts evaluations of x, at most max_iter, and is 1 at
+    eps = 1, at p = 2 and at p = infinity. The point is x / sum x; its
+    residual, the larger of the remaining sum and ball gaps and the point's
+    violation of sum = 1, x >= 0 and the ball, certifies optimality, and a
+    residual above tol is the failure signal.
 
     y is one vector, which gives a ProjectionResult, or a (k, n) stack of
     rows, which gives ProjectionRows: each row's point, evaluations,

@@ -45,7 +45,7 @@ _OPTIMIZE_PINS = [
     ),
     (
         ["project", "--eps", "0.5", "--p", "4", "--input", "tests/data/points.csv"],
-        "472562685b5da4b6704770e4c79d9225b56c97a55378a7e4202b33ad9584f158",
+        "6bd935d2118dba0abdf553d085a00a81c54050e7d4b5dd659f86163f2677f5e9",
     ),
     (
         ["solve", "--eps", "0.5", "--p", "2", "--objective", "tests/data/objective.csv"],

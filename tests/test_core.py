@@ -14,6 +14,7 @@ from fairctl import (
     p_norm,
 )
 
+from fairctl import core
 from fairctl.core import (
     COLUMN_ROWS_PER_ENTRY,
     SIMPLEX_SUM_TOL,
@@ -338,6 +339,19 @@ class TestChainKernels:
         assert not np.shares_memory(block, work.take("sample", (13,)))  # too large: a fresh array
         assert work.like("power", block).flags.f_contiguous
         assert work.like("power", np.ascontiguousarray(block)).flags.c_contiguous
+
+    def test_a_chain_of_one_alone_takes_no_peak(self, monkeypatch):
+        # p = 1 is the row sum; the solver's p = infinity dual bound asks for it alone
+        x = np.random.default_rng(5).standard_exponential((7, 20))
+        expected = _row_sum(x)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the peak was taken")
+
+        monkeypatch.setattr(core, "_row_max", refuse)
+        for rows, total in ((x, expected), (x[0], _row_sum(x[0]))):
+            assert np.array_equal(bits(_pnorm_rows(rows, 1.0)), bits(total))
+            assert np.array_equal(bits(_pnorm_rows(rows, (1.0,))), bits(total[None]))
 
 
 # ------------------------------------------------ tolerances and caps

@@ -275,6 +275,42 @@ class TestProjectFairRegion:
             assert abs(ball_gap) <= 1e-10
             assert res.iterations <= 50
 
+    @pytest.mark.parametrize("n", [5, 100])
+    def test_finite_p_newton_near_eps_one_in_few_evaluations(self, n):
+        # the fair set shrinks onto e/n and mu runs far below y: one Newton step per evaluation
+        # takes it there in a few dozen evaluations, and stops on the projection, not near it
+        y = -np.log1p(-(np.arange(n) + 0.5) / n)  # unit-exponential quantiles
+        eps = 1.0 - 1e-9
+        res = project_fair_region(y, FairnessSpec(eps, 4.0))
+        assert res.converged is True
+        assert oracles.fair_projection_kkt_residual(res.point.values, y, eps, 4.0) <= 1e-9
+        assert res.iterations <= 40
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 30),
+        st.sampled_from([3.0, 4.0, 10.0, 50.0]),
+        st.sampled_from([0.1, 0.5, 0.9, float(np.nextafter(1.0, 0.0))]),
+    )
+    # a support of ties, whose z are equal; an entry of 1e17
+    @example(3315850912, 14, 4.0, 0.5)
+    @example(236644598, 2, 10.0, 0.5)
+    def test_finite_p_newton_is_optimal_on_every_profile(self, seed, n, p, eps):
+        # supports change during the iteration, and restarts solve z exactly
+        y = stacked_rows(seed, 1, n)[0]
+        res = project_fair_region(y, FairnessSpec(eps, p))
+        assert res.converged is True
+        ball_gap = oracles.hp_norm(res.point.values, p) / oracles.fair_radius(n, eps, p) - 1.0
+        assert ball_gap <= 1e-12
+        if res.iterations > 1:  # the ball is active: the point lies on it
+            assert ball_gap >= -1e-12
+            # the oracle's fit resolves no entry 2^53 above the others, and near eps = 1 only to
+            # about 2e-6, where the fair set is a ball of radius ~1e-8 about e/n
+            if np.ptp(y) < 2.0**53:
+                bound = 1e-6 if eps < 1.0 - 1e-9 else 1e-5
+                assert oracles.fair_projection_kkt_residual(res.point.values, y, eps, p) <= bound
+
     def test_iteration_cap_counts_evaluations(self):
         y = -np.log1p(-(np.arange(50) + 0.5) / 50)
         res = project_fair_region(y, FairnessSpec(0.5, 4.0), max_iter=3)
