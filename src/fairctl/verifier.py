@@ -1,9 +1,11 @@
 """Seeded, sampling-based verification of the family's propositions and lemmas.
 
-Every suite draws flat-Dirichlet simplex samples (unit-exponential draws
-normalized by their sum) from a pinned generator -- numpy's PCG64 seeded
-through SeedSequence with a per-(suite, dimension) spawn key -- evaluates
-one inequality or identity per sample, and reports counts, the worst
+The suites of one dimension share two blocks of flat-Dirichlet simplex
+samples (unit-exponential draws normalized by their sum), a plain one and
+one kept away from {e_i, e/n}, from pinned generators -- numpy's PCG64
+seeded through SeedSequence with a per-(dimension, kind) spawn key; what
+else a suite draws has a per-(suite, dimension) key. Each suite evaluates
+one inequality or identity per sample and reports counts, the worst
 margin, and up to ten counterexamples. Failures are data, not exceptions.
 
 Strict inequalities are checked with margin > 1e-12 on samples kept at
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import combinations, pairwise
 
 import numpy as np
 
@@ -34,7 +37,8 @@ from .core import (
     _NO_WORKSPACE,
     _Workspace,
 )
-from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows, _slack_rows
+# _eps_rows has no caller here, but the benchmark's fairbench/tracing.py wraps it by name
+from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows, _slack_rows, _threshold_rows
 
 DEFAULT_N_VALUES = (2, 3, 5, 10)
 DEFAULT_P_CHAIN = (2.0, 3.0, 4.0, 6.0, 10.0, 20.0, 50.0, math.inf)
@@ -155,13 +159,14 @@ class VerificationReport:
         return {"inputs": inputs, "results": results, "seed": cfg.seed}
 
 
-def _generator(seed: int, suite: str, n: int) -> np.random.Generator:
-    """Independent substream for one (suite, dimension) block of work.
+def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """Independent substream for one spawn key.
 
-    No suite draws from another's substreams, so a run of any subset of the
+    A suite's own draws at dimension n are keyed (suite, n) and the blocks
+    all suites of n share (n, kind, 0); a triple never equals a pair, so no
+    suite draws from another's substreams, and a run of any subset of the
     suites reproduces each of them as the full run reports it.
     """
-    key = (SUITE_NAMES.index(suite), int(n))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -209,176 +214,163 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
     return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
 
 
-# Each check below states one suite's inequality for one dimension n: it
-# draws from the (suite, n) generator it is given and yields blocks of
-# (margins, threshold, strict, example), where example(i) describes the
-# i-th margin of its block. _run_one folds every dimension's blocks into
-# the suite's result. Its samples fill the run's "sample" slot, which no
-# kernel writes; a second block alive beside them is a fresh array.
+class _SharedBlocks:
+    """The samples all suites of dimension n check: a plain block, and one kept away from {e_i, e/n} with e/n last.
+
+    A block is drawn from its (n, kind) key into the "sample" slot, which no
+    check writes, and normed by one ``_pnorm_rows`` chain over 1, 2 and the
+    configured exponents. The slot holds one block: asking for the other
+    draws it in place, so the suites run in _RUN_ORDER, which draws each once.
+    """
+
+    def __init__(self, cfg: VerifyConfig, n: int, work: _Workspace):
+        self.cfg, self.n, self.work = cfg, n, work
+        self.kind = self.block = None
+
+    def _drawn(self, kind: int) -> tuple[np.ndarray, dict]:
+        if kind != self.kind:
+            self.block = None  # free the old block's norms before its rows are overwritten
+            count = self.cfg.samples
+            X = self.work.take("sample", (count + kind, self.n), "F")
+            rng = _generator(self.cfg.seed, (self.n, kind, 0))
+            _sample_rows(self.n, count, rng, exclude_special=kind == 1, work=self.work, out=X[:count])
+            X[count:] = 1.0 / self.n  # e/n below the excluded block's samples; no row of the plain one
+            chain = tuple(sorted({1.0, 2.0, *self.cfg.p_values}))
+            self.kind, self.block = kind, (X, dict(zip(chain, _pnorm_rows(X, chain, self.work))))
+        return self.block
+
+    plain = property(lambda self: self._drawn(0))
+    excluded = property(lambda self: self._drawn(1))
 
 
-def _check_cv_bound(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+# Each check below states one suite's inequality for one dimension n: it reads
+# the shared blocks of n, draws what else it needs from the (suite, n) generator
+# it is given, and yields blocks of (margins, threshold, strict, example), where
+# example(i) describes the i-th margin of its block.
+
+
+def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X = _sample_rows(n, cfg.samples, rng, work=work)
-    cv2 = _cv2_rows(_pnorm_rows(X, 2.0, work), n)
-    for p, eps in zip(cfg.p_values, _eps_rows(X, cfg.p_values, work)):
-        bound = _cv_bound_rows(n, p, eps)
+    X, norms = shared.plain
+    cv2 = _cv2_rows(norms[2.0], n)
+    for p in cfg.p_values:
+        bound = _cv_bound_rows(n, p, _threshold_rows(norms[p], n, p))
         yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X = _sample_rows(n, cfg.samples, rng, work=work)
+    X, norms = shared.plain
     eps = rng.random(cfg.samples)
-    norms = dict(zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)))
-    for p1, p2 in zip(cfg.p_values, cfg.p_values[1:]):
+    for p1, p2 in pairwise(cfg.p_values):
         inner = _slack_rows(norms[p2], n, eps, p2) >= 0.0
         idx = np.nonzero(inner)[0]
         margins = _slack_rows(norms[p1], n, eps, p1)[inner]
 
         def example(i: int) -> dict:
             j = int(idx[i])
-            return {
-                "n": n,
-                "p_pair": [_p_token(p1), _p_token(p2)],
-                "epsilon": float(eps[j]),
-                "vector": X[j].tolist(),
-            }
+            return {"n": n, "p_pair": [_p_token(p1), _p_token(p2)], "epsilon": float(eps[j]), "vector": X[j].tolist()}
 
         yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X = _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work)
-    for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
+    X, norms = shared.excluded
+    X = X[:-1]  # without e/n
+    for p in cfg.p_values:
+        t = norms[p][:-1]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
         yield -_slack_rows(t, n, 1.0, p), STRICT_MARGIN, True, _row_example(X, n, p, epsilon=1.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_corner(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_corner(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
-    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, work)):
+    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, shared.work)):
         d = dispersion_constant(n, p)
 
         def example(i: int) -> dict:
             sample, vertex = divmod(i, n)
-            return {
-                "n": n,
-                "p": _p_token(p),
-                "vertex": int(vertex),
-                "epsilon": float(eps[sample]),
-            }
+            return {"n": n, "p": _p_token(p), "vertex": int(vertex), "epsilon": float(eps[sample])}
 
-        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=work.take("sample", (cfg.samples, n)))
-        margins -= 1.0  # corner draws no samples: its (samples, n) margins fill their slot
+        # the (samples, n) margins are folded before the next kernel runs, so they fill the "power" slot
+        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=shared.work.take("power", (cfg.samples, n)))
+        margins -= 1.0
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    blocks = [_sample_rows(n, cfg.samples, rng, work=work)]
+    rows = [shared.plain[0]]
     if n >= 3:
-        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (blocks[0] has the slot)
+        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (the plain block has the slot)
         padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
-        blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
-    blocks.append(np.eye(n))
-    logs = [_log_rows(X, np.empty_like(X)) for X in blocks]  # once per block, for every p
+        rows.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
+    rows.append(np.eye(n))
+    logs = [_log_rows(X, np.empty_like(X)) for X in rows]  # once per block, for every p
     for p in _finite_ps(cfg):
-        for X, log_x in zip(blocks, logs):
-            total, derivative, weights = _power_sum_rows(X, p, work, log_x)
-            entropy = _shannon_rows(weights, work)
+        for X, log_x in zip(rows, logs):
+            total, derivative, weights = _power_sum_rows(X, p, shared.work, log_x)
+            entropy = _shannon_rows(weights, shared.work)
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
             yield cfg.tol - gap, 0.0, False, _row_example(X, n, p)
 
 
-def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X = _sample_rows(n, cfg.samples, rng, work=work)
-    for p, t in zip(_finite_ps(cfg), _pnorm_rows(X, _finite_ps(cfg), work)):
-        powered, total = _powered_rows(X, p, work)  # the weights alone: no ln x, no derivative
-        entropy = _shannon_rows(np.divide(powered, total, out=powered), work)
+    X, norms = shared.plain
+    for p in _finite_ps(cfg):
+        powered, total = _powered_rows(X, p, shared.work)  # the weights alone: no ln x, no derivative
+        entropy = _shannon_rows(np.divide(powered, total, out=powered), shared.work)
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
-        upper = -(p / (p - 1.0)) * np.log(t)
-        yield upper - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
+        yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """Strict negativity of the log-bound expression, equality at e/n (the last row)."""
-    X = work.take("sample", (cfg.samples + 1, n), "F")
-    _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work, out=X[:-1])
-    X[-1] = 1.0 / n
-    for p, t in zip(_finite_ps(cfg), _pnorm_rows(X, _finite_ps(cfg), work)):
-        d = dispersion_constant(n, p)
+    X, norms = shared.excluded
+    for p in _finite_ps(cfg):
+        t, d = norms[p], dispersion_constant(n, p)
         expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
         yield -expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p)
         yield cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p)
 
 
-def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X = _sample_rows(n, cfg.samples, rng, exclude_special=True, work=work)
-    thresholds = _eps_rows(X, cfg.p_values, work)
-    for j, (p1, p2) in enumerate(zip(cfg.p_values, cfg.p_values[1:])):
-        margins = thresholds[j] - thresholds[j + 1]
-        yield (
-            margins,
-            STRICT_MARGIN,
-            True,
-            _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)]),
-        )
+    X, norms = shared.excluded
+    thresholds = [_threshold_rows(norms[p][:-1], n, p) for p in cfg.p_values]  # without e/n
+    for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, thresholds)):
+        yield eps1 - eps2, STRICT_MARGIN, True, _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
 
 
-def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    orders = [1.0] + list(cfg.p_values)
-    X = _sample_rows(n, cfg.samples, rng, work=work)
-    norms = dict(zip(orders, _pnorm_rows(X, orders, work)))
-    for i, p1 in enumerate(orders):
-        for p2 in orders[i + 1 :]:
-            pair = [_p_token(p1), _p_token(p2)]
-            yield (
-                norms[p1] - norms[p2],
-                -NONSTRICT_SLACK,
-                False,
-                _row_example(X, n, p1, p_pair=pair),
-            )
-            ratio = (dispersion_constant(n, p2) + 1.0) / (
-                dispersion_constant(n, p1) + 1.0
-            )
-            yield (
-                ratio * norms[p2] - norms[p1],
-                -NONSTRICT_SLACK,
-                False,
-                _row_example(X, n, p1, p_pair=pair),
-            )
+    X, norms = shared.plain
+    for p1, p2 in combinations([1.0, *cfg.p_values], 2):
+        example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
+        ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
+        yield norms[p1] - norms[p2], -NONSTRICT_SLACK, False, example
+        yield ratio * norms[p2] - norms[p1], -NONSTRICT_SLACK, False, example
 
 
-def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, work: _Workspace):
+def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X = _sample_rows(n, cfg.samples, rng, work=work)
-    draws = rng.random((2, cfg.samples))
-    hi = draws.max(axis=0)
-    lo = draws.min(axis=0)
-    distinct = hi > lo
-    for p, t in zip(cfg.p_values, _pnorm_rows(X, cfg.p_values, work)):
-        applicable = distinct & (_slack_rows(t, n, hi, p) >= 0.0)
+    X, norms = shared.plain
+    lo, hi = np.sort(rng.random((2, cfg.samples)), axis=0)
+    for p in cfg.p_values:
+        applicable = (hi > lo) & (_slack_rows(norms[p], n, hi, p) >= 0.0)
         idx = np.nonzero(applicable)[0]
-        margins = _slack_rows(t, n, lo, p)[applicable]
+        margins = _slack_rows(norms[p], n, lo, p)[applicable]
 
         def example(i: int) -> dict:
             j = int(idx[i])
-            return {
-                "n": n,
-                "p": _p_token(p),
-                "eps_pair": [float(hi[j]), float(lo[j])],
-                "vector": X[j].tolist(),
-            }
+            return {"n": n, "p": _p_token(p), "eps_pair": [float(hi[j]), float(lo[j])], "vector": X[j].tolist()}
 
         yield margins, -NONSTRICT_SLACK, False, example
 
@@ -398,39 +390,46 @@ _CHECKS = {
 
 #: The suites in canonical order; a suite's position keys its random substream.
 SUITE_NAMES = tuple(_CHECKS)
+#: The order the suites run in at each dimension: the readers of the plain block, corner, then the excluded block's.
+_RUN_ORDER = ("cv-bound", "inclusion", "entropy-identity", "entropy-sandwich", "norm-equivalence", "eps-nesting",
+              "corner", "equivalence", "lemma-a1", "f-decreasing")
 
 
-def _run_one(name: str, cfg: VerifyConfig, work: _Workspace) -> SuiteResult:
-    """One suite's check on every dimension, each with its own (suite, n) substream.
+@dataclass
+class _Tally:
+    """One suite's result so far, folded block by block in yield order."""
 
-    A margin fails at or below its threshold when strict, below it otherwise, NaN always;
-    the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null).
-    """
-    checked = failures = 0
+    checked: int = 0
+    failures: int = 0
     worst: float | None = None
-    examples: list[dict] = []
-    for n in cfg.n_values:
-        for margins, threshold, strict, example in _CHECKS[name](cfg, n, _generator(cfg.seed, name, n), work):
+    examples: list = field(default_factory=list)
+
+    def fold(self, margin_blocks) -> None:
+        """Fold a check's margin blocks: a margin fails at or below its threshold when strict, below it otherwise,
+        NaN always; the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null)."""
+        for margins, threshold, strict, example in margin_blocks:
             margins = np.asarray(margins, dtype=float).ravel()
-            if margins.size:  # an empty block checks nothing
-                checked += margins.size
-                low = float(margins.min())
-                if math.isnan(low):  # a NaN margin fails below, and the worst is the least numeric one
-                    low = float(np.fmin.reduce(margins))
-                if not math.isnan(low) and (worst is None or low < worst):
-                    worst = low
-                bad = np.flatnonzero(~(margins > threshold if strict else margins >= threshold))
-                failures += bad.size
-                for i in bad[: COUNTEREXAMPLE_CAP - len(examples)]:
-                    margin = None if np.isnan(margins[i]) else float(margins[i])
-                    examples.append({**example(int(i)), "margin": margin})
-            # free the block and the samples its example reads before the check draws more
-            del margins, example
-    return SuiteResult(name, checked, failures, worst, tuple(examples))
+            if not margins.size:  # an empty block checks nothing
+                continue
+            self.checked += margins.size
+            low = float(np.fmin.reduce(margins))  # the least numeric margin: NaN is never the worst
+            if not math.isnan(low) and (self.worst is None or low < self.worst):
+                self.worst = low
+            bad = np.flatnonzero(~(margins > threshold if strict else margins >= threshold))
+            self.failures += bad.size
+            for i in bad[: COUNTEREXAMPLE_CAP - len(self.examples)]:
+                margin = None if np.isnan(margins[i]) else float(margins[i])
+                self.examples.append({**example(int(i)), "margin": margin})
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
-    """Run the configured suites in one workspace and collect the report; 0/0 is a failing margin, not a warning."""
+    """Run the suites one dimension at a time in one workspace; 0/0 is a failing margin, not a warning."""
     work = _Workspace((cfg.samples + 1) * max(cfg.n_values))
+    tallies = {name: _Tally() for name in cfg.suites}
     with np.errstate(all="ignore"):
-        return VerificationReport(cfg, tuple(_run_one(name, cfg, work) for name in cfg.suites))
+        for n in cfg.n_values:
+            shared = _SharedBlocks(cfg, n, work)
+            for name in sorted(tallies, key=_RUN_ORDER.index):
+                tallies[name].fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
+    results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
+    return VerificationReport(cfg, tuple(results))

@@ -634,12 +634,13 @@ class TestVerify:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            ("42", "e97a60e408177c8e69dd8778f1ce665d7a319f1c1b34ce5ddbd655c3563d22ea"),
-            ("7", "92cebea0b617268f0e7fefbadbe93aba9b70186995baedd2afe32176adbb2093"),
+            ("42", "3b2c047a23f30ad3a4779d3b8edce41932ef4538cab22cdea2d63088bd07d349"),
+            ("7", "553a1daa1a7540a1e1b9c11d4d8ca9059af4ef08fe8eb8e97ffce72f7ffb9647"),
         ],
     )
     def test_full_report_bytes_are_pinned(self, capsys, tmp_path, seed, digest):
-        # a change to the row kernels, the suites or the JSON writer must keep these bytes
+        # the suites of each dimension check one shared plain and one shared excluded block;
+        # a change to the row kernels, the sampling, the suites or the JSON writer must keep these bytes
         out = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "verify", "--suite", "all", "--samples", "10000", "--seed", seed,
@@ -650,15 +651,14 @@ class TestVerify:
 
     def test_report_bytes_are_pinned_at_an_odd_shape(self, capsys, tmp_path):
         # rows longer than the column kernels take, a two-entry dimension, a
-        # fractional exponent and an unsorted dimension list; pinned before
-        # the verifier ran in one workspace per run
+        # fractional exponent and an unsorted dimension list
         out = tmp_path / "report.json"
         code, _, _ = run(
             capsys, "verify", "--suite", "all", "--samples", "3000", "--n-values", "130,2,7",
             "--p-chain", "2,3.5,60,inf", "--seed", "42", "--out", str(out),
         )
         assert code == 0
-        digest = "7fc41b787707216a31eefae25879853ab7468d6a60a3424580c9351d5f57fcd8"
+        digest = "99162227eca4de2f594175c08f29b753e1e0c6f79887e27408b9e38518cb22ca"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_nan_margins_fail_without_warnings(self, capsys, recwarn):

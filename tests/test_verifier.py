@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -190,10 +191,48 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_subset_run_matches_full_run(self, name):
-        # substreams are keyed by (suite, n), so scheduling cannot matter
-        full = {s.name: s for s in run_suite(SMALL).suites}
-        solo = run_suite(VerifyConfig(suites=(name,), samples=300, seed=7)).suites[0]
-        assert solo.to_dict() == full[name].to_dict()
+        # the blocks a dimension's suites share are keyed by (n, kind) and each suite's own
+        # draws by (suite, n), so scheduling cannot matter; the second chain holds neither
+        # 1 nor 2, which the blocks' norm chain adds, and its dimensions are unsorted
+        odd = VerifyConfig(samples=300, n_values=(7, 2), p_values=(3.5, math.inf), seed=7)
+        for cfg in (SMALL, odd):
+            full = {s.name: s for s in run_suite(cfg).suites}
+            solo = run_suite(dataclasses.replace(cfg, suites=(name,))).suites[0]
+            assert solo.to_dict() == full[name].to_dict()
+
+    def test_each_shared_block_is_drawn_once_per_dimension(self, monkeypatch):
+        # the slot holds one block at a time, so the suites must run grouped by the block they read
+        keys = []
+        generator = verifier._generator
+        monkeypatch.setattr(verifier, "_generator", lambda seed, key: keys.append(key) or generator(seed, key))
+        run_suite(SMALL)
+        shared = sorted(key for key in keys if len(key) == 3)
+        assert shared == sorted((n, kind, 0) for n in SMALL.n_values for kind in (0, 1))
+        keys.clear()
+        run_suite(dataclasses.replace(SMALL, suites=("corner",)))  # reads neither block
+        assert keys == [(SUITE_NAMES.index("corner"), n) for n in SMALL.n_values]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [SMALL, VerifyConfig(samples=50, n_values=(7, 2), p_values=(3.5, 60.0, math.inf), seed=3)],
+    )
+    def test_draw_independent_counts_follow_the_config(self, cfg):
+        # what eight suites check depends on the config alone; a shared block sliced wrong,
+        # such as the e/n row of the excluded block counted by equivalence, moves a count
+        S, N, P = cfg.samples, cfg.n_values, cfg.p_values
+        F = sum(math.isfinite(p) for p in P)
+        expected = {
+            "cv-bound": S * len(N) * len(P),
+            "equivalence": len(N) * len(P) * (2 * S + 1),
+            "corner": len(P) * sum((S + 1) * n + 1 for n in N),
+            "entropy-identity": F * sum(S + n + (max(S // 10, 1) if n >= 3 else 0) for n in N),
+            "entropy-sandwich": 2 * S * len(N) * F,
+            "lemma-a1": (S + 1) * len(N) * F,
+            "f-decreasing": S * len(N) * (len(P) - 1),
+            "norm-equivalence": 2 * S * len(N) * math.comb(len(P) + 1, 2),
+        }
+        checked = {s.name: s.checked for s in run_suite(cfg).suites}
+        assert {name: checked[name] for name in expected} == expected
 
     def test_different_seed_changes_margins(self):
         # cv-bound would not do here: its worst margin is the p = 2 equality
@@ -272,7 +311,7 @@ class TestRunSuite:
 
 
 class TestDriver:
-    """_run_one folds the blocks a check yields into one SuiteResult."""
+    """run_suite folds the blocks a check yields into one SuiteResult."""
 
     def run_fake(self, monkeypatch, check, n_values=(2, 3)):
         monkeypatch.setitem(verifier._CHECKS, "corner", check)
@@ -281,7 +320,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("strict, failures", [(True, 1), (False, 0)])
     def test_margin_at_threshold_fails_only_when_strict(self, monkeypatch, strict, failures):
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             yield [0.5, 0.25], 0.25, strict, lambda i: {"i": i}
 
         result = self.run_fake(monkeypatch, check, n_values=(2,))
@@ -289,7 +328,7 @@ class TestDriver:
         assert list(result.counterexamples) == [{"i": 1, "margin": 0.25}] * failures
 
     def test_empty_block_is_neither_counted_nor_worst(self, monkeypatch):
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             yield np.empty(0), 0.0, False, lambda i: {}
             yield [3.0, 2.0], 0.0, False, lambda i: {}
             yield np.empty((0, n)), 0.0, True, lambda i: {}
@@ -299,7 +338,7 @@ class TestDriver:
         assert result.passed
 
     def test_only_nothing_checked_gives_no_worst_margin(self, monkeypatch):
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             yield [], 0.0, False, lambda i: {}
 
         result = self.run_fake(monkeypatch, check)
@@ -307,7 +346,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_nan_margin_fails_and_is_never_the_worst(self, monkeypatch, strict):
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             yield [0.5, math.nan, -1.0], 0.0, strict, lambda i: {"i": i}
             yield [math.nan], 0.0, strict, lambda i: {"i": i}
 
@@ -318,7 +357,7 @@ class TestDriver:
         json.dumps(result.to_dict(), allow_nan=False)  # null, never NaN
 
     def test_only_nan_margins_give_no_worst_margin(self, monkeypatch):
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             yield np.full(3, math.nan), 0.0, False, lambda i: {}
 
         result = self.run_fake(monkeypatch, check, n_values=(2,))
@@ -328,7 +367,7 @@ class TestDriver:
         cap = verifier.COUNTEREXAMPLE_CAP
         per_block = cap // 4 + 1  # four blocks overflow the cap, and it falls in the second dimension
 
-        def check(cfg, n, rng, work):
+        def check(cfg, n, rng, shared):
             for block in range(2):
                 margins = -1.0 - np.arange(per_block) - 100 * block - 1000 * n
                 yield margins, 0.0, False, lambda i, block=block: {"n": n, "block": block, "i": i}
