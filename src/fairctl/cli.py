@@ -87,8 +87,8 @@ def _eps_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"invalid grid {text!r}: expected start:stop:step")
     start, stop, step = (float(t) for t in parts)
-    if not (step > 0 and stop >= start):
-        raise ValueError(f"invalid grid {text!r}: need step > 0 and stop >= start")
+    if not (0 < step < math.inf and stop >= start):  # start + 0 * inf is nan
+        raise ValueError(f"invalid grid {text!r}: need a finite step > 0 and stop >= start")
     check_epsilon(start)
     check_epsilon(stop)
     span = (stop - start) / step + 1e-9

@@ -12,8 +12,8 @@ uniform point e/n.
 Each formula has one implementation, written on the rows' norms along the
 last axis: ``_threshold_rows``, ``_member_rows``, ``_cv2_rows`` and, of eps,
 ``_cv_bound_rows`` and ``_radius_rows``. Each use takes its norms from one
-``_pnorm_rows`` call: the scalar functions for one vector, ``dispersion_report`` for all rows of
-an array at every exponent, and ``_eps_rows`` for a verifier sample block.
+``_pnorm_rows`` call: the scalar functions for one vector, and ``dispersion_report`` for all
+rows of an array at every exponent.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core import (
     p_norm,
     _pnorm_rows,
     _row_fault,
-    _NO_WORKSPACE,
 )
 
 #: Round-off window within which eps_max is clamped back into [0, 1].
@@ -73,13 +72,9 @@ def _threshold_rows(t, n: int, p: float):
     return np.clip(eps, 0.0, 1.0)
 
 
-def _eps_rows(rows: np.ndarray, p, work=_NO_WORKSPACE) -> np.ndarray:
-    """eps_max along the last axis of simplex rows; a chain of exponents stacks them as ``_pnorm_rows`` does."""
-    chain = p if isinstance(p, (tuple, list)) else (p,)
-    vals = _pnorm_rows(rows, chain, work)  # thresholds replace norms
-    for k, q in enumerate(chain):
-        vals[k] = _threshold_rows(vals[k], rows.shape[-1], q)
-    return vals if chain is p else vals[0]
+def _eps_rows(rows: np.ndarray, p: float) -> np.ndarray:
+    """eps_max along the last axis of simplex rows."""
+    return _threshold_rows(_pnorm_rows(rows, p), rows.shape[-1], p)
 
 
 def eps_max(x: SimplexVector, p: float) -> float:

@@ -1,17 +1,18 @@
 """Seeded, sampling-based verification of the family's propositions and lemmas.
 
-The suites of one dimension share two blocks of flat-Dirichlet simplex
-samples (unit-exponential draws normalized by their sum), a plain one and
-one kept away from {e_i, e/n}, from pinned generators -- numpy's PCG64
-seeded through SeedSequence with a per-(dimension, kind) spawn key; what
-else a suite draws has a per-(suite, dimension) key. Each suite evaluates
-one inequality or identity per sample and reports counts, the worst
-margin, and up to ten counterexamples. Failures are data, not exceptions.
+The suites of one dimension share one block of flat-Dirichlet simplex
+samples (unit-exponential draws normalized by their sum), kept at least
+1e-6 away (max norm) from the excluded points {e_i, e/n}, from pinned
+generators -- numpy's PCG64 seeded through SeedSequence with a
+per-dimension spawn key; what else a suite draws has a per-(suite,
+dimension) key. The vertices and e/n are checked as explicit rows. Each
+suite evaluates one inequality or identity per sample and reports counts,
+the worst margin, and up to ten counterexamples. Failures are data, not
+exceptions.
 
-Strict inequalities are checked with margin > 1e-12 on samples kept at
-least 1e-6 away (max norm) from the excluded points {e_i, e/n}; non-strict
-ones allow 1e-10 of round-off slack; identities use the configured
-tolerance (default 1e-9).
+Strict inequalities are checked with margin > 1e-12; non-strict ones
+allow 1e-10 of round-off slack; identities use the configured tolerance
+(default 1e-9).
 """
 
 from __future__ import annotations
@@ -162,22 +163,22 @@ class VerificationReport:
 def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """Independent substream for one spawn key.
 
-    A suite's own draws at dimension n are keyed (suite, n) and the blocks
-    all suites of n share (n, kind, 0); a triple never equals a pair, so no
+    A suite's own draws at dimension n are keyed (suite, n) and the block
+    all suites of n share (n, 0, 0); a triple never equals a pair, so no
     suite draws from another's substreams, and a run of any subset of the
     suites reproduces each of them as the full run reports it.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _sample_rows(n: int, count: int, rng, exclude_special: bool = False, work=_NO_WORKSPACE, out=None) -> np.ndarray:
-    """Flat-Dirichlet rows: unit-exponential draws normalized by their sum.
+def _sample_rows(n: int, count: int, rng, exclude_special: bool = False, work=_NO_WORKSPACE) -> np.ndarray:
+    """Flat-Dirichlet rows in the "sample" slot: unit-exponential draws normalized by their sum.
 
     The block is column-major, so the row kernels read contiguous columns.
     With exclude_special, rows within EXCLUSION_RADIUS (max norm) of any
-    vertex e_i or of e/n are rejected and redrawn. The rows fill ``out``, else the "sample" slot.
+    vertex e_i or of e/n are rejected and redrawn.
     """
-    rows = work.take("sample", (count, n), "F") if out is None else out
+    rows = work.take("sample", (count, n), "F")
     filled = 0
     while filled < count:
         draw = rng.standard_exponential(out=work.take("power", (count - filled, n)))
@@ -214,53 +215,25 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
     return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
 
 
-class _SharedBlocks:
-    """The samples all suites of dimension n check: a plain block, and one kept away from {e_i, e/n} with e/n last.
-
-    A block is drawn from its (n, kind) key into the "sample" slot, which no
-    check writes, and normed by one ``_pnorm_rows`` chain over 1, 2 and the
-    configured exponents. The slot holds one block: asking for the other
-    draws it in place, so the suites run in _RUN_ORDER, which draws each once.
-    """
-
-    def __init__(self, cfg: VerifyConfig, n: int, work: _Workspace):
-        self.cfg, self.n, self.work = cfg, n, work
-        self.kind = self.block = None
-
-    def _drawn(self, kind: int) -> tuple[np.ndarray, dict]:
-        if kind != self.kind:
-            self.block = None  # free the old block's norms before its rows are overwritten
-            count = self.cfg.samples
-            X = self.work.take("sample", (count + kind, self.n), "F")
-            rng = _generator(self.cfg.seed, (self.n, kind, 0))
-            _sample_rows(self.n, count, rng, exclude_special=kind == 1, work=self.work, out=X[:count])
-            X[count:] = 1.0 / self.n  # e/n below the excluded block's samples; no row of the plain one
-            chain = tuple(sorted({1.0, 2.0, *self.cfg.p_values}))
-            self.kind, self.block = kind, (X, dict(zip(chain, _pnorm_rows(X, chain, self.work))))
-        return self.block
-
-    plain = property(lambda self: self._drawn(0))
-    excluded = property(lambda self: self._drawn(1))
-
-
 # Each check below states one suite's inequality for one dimension n: it reads
-# the shared blocks of n, draws what else it needs from the (suite, n) generator
-# it is given, and yields blocks of (margins, threshold, strict, example), where
-# example(i) describes the i-th margin of its block.
+# the block of n shared as (X, norms, work) -- the samples, their norms by
+# exponent and the run's workspace -- draws what else it needs from the
+# (suite, n) generator it is given, and yields blocks of (margins, threshold,
+# strict, example), where example(i) describes the i-th margin of its block.
 
 
-def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X, norms = shared.plain
+    X, norms, _ = shared
     cv2 = _cv2_rows(norms[2.0], n)
     for p in cfg.p_values:
         bound = _cv_bound_rows(n, p, _threshold_rows(norms[p], n, p))
         yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X, norms = shared.plain
+    X, norms, _ = shared
     eps = rng.random(cfg.samples)
     for p1, p2 in pairwise(cfg.p_values):
         inner = _slack_rows(norms[p2], n, eps, p2) >= 0.0
@@ -274,22 +247,22 @@ def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
         yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X, norms = shared.excluded
-    X = X[:-1]  # without e/n
+    X, norms, _ = shared
     for p in cfg.p_values:
-        t = norms[p][:-1]
+        t = norms[p]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
         yield -_slack_rows(t, n, 1.0, p), STRICT_MARGIN, True, _row_example(X, n, p, epsilon=1.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_corner(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
+    work = shared[2]
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
-    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, shared.work)):
+    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, work)):
         d = dispersion_constant(n, p)
 
         def example(i: int) -> dict:
@@ -297,61 +270,66 @@ def _check_corner(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
             return {"n": n, "p": _p_token(p), "vertex": int(vertex), "epsilon": float(eps[sample])}
 
         # the (samples, n) margins are folded before the next kernel runs, so they fill the "power" slot
-        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=shared.work.take("power", (cfg.samples, n)))
+        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=work.take("power", (cfg.samples, n)))
         margins -= 1.0
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    rows = [shared.plain[0]]
+    X, _, work = shared
+    rows = [X]
     if n >= 3:
-        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (the plain block has the slot)
+        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (the block has the slot)
         padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
         rows.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
     rows.append(np.eye(n))
     logs = [_log_rows(X, np.empty_like(X)) for X in rows]  # once per block, for every p
     for p in _finite_ps(cfg):
         for X, log_x in zip(rows, logs):
-            total, derivative, weights = _power_sum_rows(X, p, shared.work, log_x)
-            entropy = _shannon_rows(weights, shared.work)
+            total, derivative, weights = _power_sum_rows(X, p, work, log_x)
+            entropy = _shannon_rows(weights, work)
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
             yield cfg.tol - gap, 0.0, False, _row_example(X, n, p)
 
 
-def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, norms = shared.plain
+    X, norms, work = shared
     for p in _finite_ps(cfg):
-        powered, total = _powered_rows(X, p, shared.work)  # the weights alone: no ln x, no derivative
-        entropy = _shannon_rows(np.divide(powered, total, out=powered), shared.work)
+        powered, total = _powered_rows(X, p, work)  # the weights alone: no ln x, no derivative
+        entropy = _shannon_rows(np.divide(powered, total, out=powered), work)
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
-    """Strict negativity of the log-bound expression, equality at e/n (the last row)."""
-    X, norms = shared.excluded
+def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: tuple):
+    """Strict negativity of the log-bound expression on the samples, equality at e/n."""
+    X, norms, _ = shared
+    uniform = np.full((1, n), 1.0 / n)
     for p in _finite_ps(cfg):
-        t, d = norms[p], dispersion_constant(n, p)
-        expr = (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
-        yield -expr[:-1], STRICT_MARGIN, True, _row_example(X, n, p)
-        yield cfg.tol - np.abs(expr[-1:]), 0.0, False, _row_example(X[-1:], n, p)
+        d = dispersion_constant(n, p)
+        samples, center = (
+            (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
+            for t in (norms[p], _pnorm_rows(uniform, p))
+        )
+        yield -samples, STRICT_MARGIN, True, _row_example(X, n, p)
+        yield cfg.tol - np.abs(center), 0.0, False, _row_example(uniform, n, p)
 
 
-def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X, norms = shared.excluded
-    thresholds = [_threshold_rows(norms[p][:-1], n, p) for p in cfg.p_values]  # without e/n
+    X, norms, _ = shared
+    thresholds = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
     for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, thresholds)):
         yield eps1 - eps2, STRICT_MARGIN, True, _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
 
 
-def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    X, norms = shared.plain
+    X, norms, _ = shared
     for p1, p2 in combinations([1.0, *cfg.p_values], 2):
         example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
         ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
@@ -359,9 +337,9 @@ def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: _SharedBlock
         yield ratio * norms[p2] - norms[p1], -NONSTRICT_SLACK, False, example
 
 
-def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, shared: _SharedBlocks):
+def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X, norms = shared.plain
+    X, norms, _ = shared
     lo, hi = np.sort(rng.random((2, cfg.samples)), axis=0)
     for p in cfg.p_values:
         applicable = (hi > lo) & (_slack_rows(norms[p], n, hi, p) >= 0.0)
@@ -390,9 +368,6 @@ _CHECKS = {
 
 #: The suites in canonical order; a suite's position keys its random substream.
 SUITE_NAMES = tuple(_CHECKS)
-#: The order the suites run in at each dimension: the readers of the plain block, corner, then the excluded block's.
-_RUN_ORDER = ("cv-bound", "inclusion", "entropy-identity", "entropy-sandwich", "norm-equivalence", "eps-nesting",
-              "corner", "equivalence", "lemma-a1", "f-decreasing")
 
 
 @dataclass
@@ -424,12 +399,15 @@ class _Tally:
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
     """Run the suites one dimension at a time in one workspace; 0/0 is a failing margin, not a warning."""
-    work = _Workspace((cfg.samples + 1) * max(cfg.n_values))
+    work = _Workspace(cfg.samples * max(cfg.n_values))
+    chain = tuple(sorted({1.0, 2.0, *cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
     tallies = {name: _Tally() for name in cfg.suites}
     with np.errstate(all="ignore"):
         for n in cfg.n_values:
-            shared = _SharedBlocks(cfg, n, work)
-            for name in sorted(tallies, key=_RUN_ORDER.index):
-                tallies[name].fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
+            X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True, work=work)
+            shared = X, dict(zip(chain, _pnorm_rows(X, chain, work))), work
+            for name, tally in tallies.items():
+                tally.fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
+            del shared  # free these norms before the next dimension's are made
     results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
     return VerificationReport(cfg, tuple(results))

@@ -431,6 +431,7 @@ class TestFlagValidation:
             ("# only a comment\n", ("check", "--eps", "0.5", "--p", "2"), "no vectors found"),
             ("5\n", ("check", "--eps", "0.5", "--p", "2"), "vectors need at least 2 entries"),
             ("3,2,1\n", ("sweep", "--p", "2", "--eps-grid", "0:1:0.00001"), "more than 10000 points"),
+            ("3,2,1\n", ("sweep", "--p", "2", "--eps-grid", "0:1:inf"), "need a finite step > 0"),
         ],
     )
     def test_input_errors_name_their_file_or_flag(self, capsys, tmp_path, text, argv, message):
@@ -634,12 +635,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            ("42", "3b2c047a23f30ad3a4779d3b8edce41932ef4538cab22cdea2d63088bd07d349"),
-            ("7", "553a1daa1a7540a1e1b9c11d4d8ca9059af4ef08fe8eb8e97ffce72f7ffb9647"),
+            ("42", "b7d3ecbb2dd5e7c0e91cac7d974a8a2bf4db9d62a0103c2cc93346dc7e814e3e"),
+            ("7", "833fe3c6fa83981797e6f6667856ef2038618cb37f77b9a6bc65cfefe0025a86"),
         ],
     )
     def test_full_report_bytes_are_pinned(self, capsys, tmp_path, seed, digest):
-        # the suites of each dimension check one shared plain and one shared excluded block;
+        # the suites of each dimension check one shared block, kept away from the vertices and e/n;
         # a change to the row kernels, the sampling, the suites or the JSON writer must keep these bytes
         out = tmp_path / "report.json"
         code, _, _ = run(
@@ -658,7 +659,7 @@ class TestVerify:
             "--p-chain", "2,3.5,60,inf", "--seed", "42", "--out", str(out),
         )
         assert code == 0
-        digest = "99162227eca4de2f594175c08f29b753e1e0c6f79887e27408b9e38518cb22ca"
+        digest = "9abd50eb01c21710434d5329cf79b4377746fc2c11d482bf3db812594386a1db"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_nan_margins_fail_without_warnings(self, capsys, recwarn):

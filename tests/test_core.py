@@ -330,6 +330,21 @@ class TestChainKernels:
                         assert np.array_equal(bits(a), bits(b))
                     assert np.array_equal(bits(_shannon_rows(got[2], **work)), bits(entropy))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 10, 17, 128, 130])
+    def test_uniform_row_has_its_bits_alone_and_in_a_block(self, n):
+        # the verifier norms e/n alone as a (1, n) row and its samples as one column-major block
+        ps = (1.0, 2.0, 3.0, 3.5, 4.0, 6.0, 10.0, 20.0, 50.0, 60.0, INFINITY)
+        uniform = np.full((1, n), 1.0 / n)
+        x = kernel_rows(n, COLUMN_ROWS_PER_ENTRY * n + 3, n, "exponential", "F")
+        x[::7] = uniform  # at the first row, among the others and at the last
+        x[-1] = uniform
+        for work in workspaces(x):
+            stacked = _pnorm_rows(x, ps, **work)
+            for p, norms in zip(ps, stacked):
+                alone = _pnorm_rows(uniform, p)
+                assert np.array_equal(bits(norms[::7]), bits(np.broadcast_to(alone, norms[::7].shape))), p
+                assert bits(norms[-1]) == bits(alone[0]), p
+
     def test_workspace_views_are_laid_out_as_asked(self):
         work = _Workspace(12)
         block = work.take("sample", (3, 4), "F")

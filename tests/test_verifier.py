@@ -77,16 +77,12 @@ class TestSamplingWorkspace:
     def assert_same_draws(self, n, count, seed, exclude):
         expected_rng = rng(seed)
         expected = reference_sample_rows(n, count, expected_rng, exclude)
-        for work in ({}, {"work": _Workspace((count + 1) * n)}, {"work": _Workspace(1)}):
+        for work in ({}, {"work": _Workspace(count * n)}, {"work": _Workspace(1)}):
             generator = rng(seed)
             rows = _sample_rows(n, count, generator, exclude, **work)
             assert rows.shape == (count, n) and rows.flags.f_contiguous
             assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
             assert generator.bit_generator.state == expected_rng.bit_generator.state
-        # drawn into the first rows of a larger block, as lemma-a1 stacks e/n below them
-        block = _Workspace((count + 1) * n).take("sample", (count + 1, n), "F")
-        _sample_rows(n, count, rng(seed), exclude, _Workspace((count + 1) * n), out=block[:-1])
-        assert np.array_equal(block[:-1], expected)
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 300), st.booleans())
@@ -191,26 +187,38 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_subset_run_matches_full_run(self, name):
-        # the blocks a dimension's suites share are keyed by (n, kind) and each suite's own
+        # the block a dimension's suites share is keyed by (n, 0, 0) and each suite's own
         # draws by (suite, n), so scheduling cannot matter; the second chain holds neither
-        # 1 nor 2, which the blocks' norm chain adds, and its dimensions are unsorted
+        # 1 nor 2, which the block's norm chain adds, and its dimensions are unsorted
         odd = VerifyConfig(samples=300, n_values=(7, 2), p_values=(3.5, math.inf), seed=7)
         for cfg in (SMALL, odd):
             full = {s.name: s for s in run_suite(cfg).suites}
             solo = run_suite(dataclasses.replace(cfg, suites=(name,))).suites[0]
             assert solo.to_dict() == full[name].to_dict()
 
-    def test_each_shared_block_is_drawn_once_per_dimension(self, monkeypatch):
-        # the slot holds one block at a time, so the suites must run grouped by the block they read
-        keys = []
-        generator = verifier._generator
-        monkeypatch.setattr(verifier, "_generator", lambda seed, key: keys.append(key) or generator(seed, key))
-        run_suite(SMALL)
-        shared = sorted(key for key in keys if len(key) == 3)
-        assert shared == sorted((n, kind, 0) for n in SMALL.n_values for kind in (0, 1))
-        keys.clear()
-        run_suite(dataclasses.replace(SMALL, suites=("corner",)))  # reads neither block
-        assert keys == [(SUITE_NAMES.index("corner"), n) for n in SMALL.n_values]
+    @pytest.mark.parametrize(
+        "suites", [SUITE_NAMES, ("corner",), ("entropy-identity", "lemma-a1"), ("cv-bound",)], ids=",".join
+    )
+    def test_each_shared_block_is_drawn_once_per_dimension(self, monkeypatch, suites):
+        # every subset, even corner alone, which reads no samples, draws one excluded block per dimension
+        keys, draws = {}, []
+        generator, sample_rows = verifier._generator, verifier._sample_rows
+
+        def keyed(seed, key):
+            rng = generator(seed, key)
+            keys[id(rng)] = key
+            return rng
+
+        def recorded(n, count, rng, exclude_special=False, **work):
+            draws.append((keys[id(rng)], n, count, exclude_special))
+            return sample_rows(n, count, rng, exclude_special, **work)
+
+        monkeypatch.setattr(verifier, "_generator", keyed)
+        monkeypatch.setattr(verifier, "_sample_rows", recorded)
+        cfg = dataclasses.replace(SMALL, suites=suites, n_values=(7, 2, 3))
+        run_suite(cfg)
+        shared = [draw for draw in draws if len(draw[0]) == 3]
+        assert shared == [((n, 0, 0), n, cfg.samples, True) for n in cfg.n_values]
 
     @pytest.mark.parametrize(
         "cfg",
@@ -218,7 +226,7 @@ class TestRunSuite:
     )
     def test_draw_independent_counts_follow_the_config(self, cfg):
         # what eight suites check depends on the config alone; a shared block sliced wrong,
-        # such as the e/n row of the excluded block counted by equivalence, moves a count
+        # or a sample row counted as lemma-a1's e/n term, moves a count
         S, N, P = cfg.samples, cfg.n_values, cfg.p_values
         F = sum(math.isfinite(p) for p in P)
         expected = {
