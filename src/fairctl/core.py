@@ -301,27 +301,24 @@ def dispersion_constant(n: int, p: float) -> float:
 
 
 def _log_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ln x into out, with 0 where x is not positive, so that the terms 0 ln 0 vanish."""
-    out.fill(1.0)
-    np.copyto(out, rows, where=rows > 0)
-    return np.log(out, out=out)
+    """ln x into out: exactly ln x for every x > 0, and a finite ln(5e-324) at 0, so a term 0 ln 0 is ±0.
 
-
-def _powered_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE):
-    """x_i^p in the "power" slot and its sum along the last axis, kept as an axis of length one."""
-    powered = work.like("power", rows)
-    powered[...] = rows
-    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
-    return powered, _row_sum(powered, keepdims=True)
+    5e-324 is the least positive double, so it raises no positive x. A row sum
+    absorbs the ±0 terms: it starts at +0.0, and +0.0 + -0.0 is +0.0.
+    """
+    return np.log(np.maximum(rows, 5e-324, out=out), out=out)
 
 
 def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE, logs=None):
     """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum, in the "power" slot.
 
-    Along the last axis, for a 1-D vector or stacked rows; terms with x_i = 0 contribute 0 to
-    the derivative (0 * ln 0 = 0). ``logs`` may bring ``_log_rows(rows)``, made once for all p.
+    Along the last axis, for a 1-D vector or stacked rows; terms with x_i = 0 contribute ±0 to
+    the derivative (0 ln 0 = 0). ``logs`` may bring ``_log_rows(rows)``, made once for all p.
     """
-    powered, value = _powered_rows(rows, p, work)
+    powered = work.like("power", rows)
+    powered[...] = rows
+    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
+    value = _row_sum(powered, keepdims=True)
     product = work.like("ratio", rows)
     if logs is None:
         logs = _log_rows(rows, product)

@@ -31,7 +31,6 @@ from .core import (
     _log_rows,
     _pnorm_rows,
     _power_sum_rows,
-    _powered_rows,
     _row_max,
     _row_sum,
     _shannon_rows,
@@ -216,15 +215,17 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
 
 
 # Each check below states one suite's inequality for one dimension n: it reads
-# the block of n shared as (X, norms, work) -- the samples, their norms by
-# exponent and the run's workspace -- draws what else it needs from the
-# (suite, n) generator it is given, and yields blocks of (margins, threshold,
-# strict, example), where example(i) describes the i-th margin of its block.
+# the block of n shared as (X, norms, work, entropies) -- the samples, their
+# norms by exponent, the run's workspace and the samples' power-sum entropies
+# H(w) by finite exponent, filled by entropy-identity as it makes them -- draws
+# what else it needs from the (suite, n) generator it is given, and yields
+# blocks of (margins, threshold, strict, example), where example(i) describes
+# the i-th margin of its block.
 
 
 def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     cv2 = _cv2_rows(norms[2.0], n)
     for p in cfg.p_values:
         bound = _cv_bound_rows(n, p, _threshold_rows(norms[p], n, p))
@@ -233,7 +234,7 @@ def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     eps = rng.random(cfg.samples)
     for p1, p2 in pairwise(cfg.p_values):
         inner = _slack_rows(norms[p2], n, eps, p2) >= 0.0
@@ -249,7 +250,7 @@ def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     for p in cfg.p_values:
         t = norms[p]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
@@ -259,7 +260,7 @@ def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
-    work = shared[2]
+    _, _, work, _ = shared
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
     for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, work)):
@@ -277,37 +278,44 @@ def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
         yield _uniform_gap(cfg, n, p)
 
 
+def _entropy_rows(rows: np.ndarray, p: float, work: _Workspace, logs=None):
+    """S_p, its p-derivative S_p' and the Shannon entropy H(w) of the weights w = x^p / S_p, by row."""
+    total, derivative, weights = _power_sum_rows(rows, p, work, logs)
+    return total, derivative, _shannon_rows(weights, work)
+
+
 def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    X, _, work = shared
-    rows = [X]
+    X, _, work, entropies = shared
+    blocks = [X]
     if n >= 3:
         # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (the block has the slot)
         padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
-        rows.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
-    rows.append(np.eye(n))
-    logs = [_log_rows(X, np.empty_like(X)) for X in rows]  # once per block, for every p
+        blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
+    blocks.append(np.eye(n))
+    logs = [_log_rows(rows, np.empty_like(rows)) for rows in blocks]  # once per block, for every p
     for p in _finite_ps(cfg):
-        for X, log_x in zip(rows, logs):
-            total, derivative, weights = _power_sum_rows(X, p, work, log_x)
-            entropy = _shannon_rows(weights, work)
+        for rows, log_x in zip(blocks, logs):
+            total, derivative, entropy = _entropy_rows(rows, p, work, log_x)
+            if rows is X:
+                entropies[p] = entropy  # entropy-sandwich reads the samples' H(w) from here
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
-            yield cfg.tol - gap, 0.0, False, _row_example(X, n, p)
+            yield cfg.tol - gap, 0.0, False, _row_example(rows, n, p)
 
 
 def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, norms, work = shared
+    X, norms, work, entropies = shared
     for p in _finite_ps(cfg):
-        powered, total = _powered_rows(X, p, work)  # the weights alone: no ln x, no derivative
-        entropy = _shannon_rows(np.divide(powered, total, out=powered), work)
+        # entropy-identity made H(w) already, unless it did not run
+        entropy = entropies[p] if p in entropies else _entropy_rows(X, p, work)[2]
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
 def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Strict negativity of the log-bound expression on the samples, equality at e/n."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     uniform = np.full((1, n), 1.0 / n)
     for p in _finite_ps(cfg):
         d = dispersion_constant(n, p)
@@ -321,7 +329,7 @@ def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     thresholds = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
     for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, thresholds)):
         yield eps1 - eps2, STRICT_MARGIN, True, _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
@@ -329,7 +337,7 @@ def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    X, norms, _ = shared
+    X, norms, *_ = shared
     for p1, p2 in combinations([1.0, *cfg.p_values], 2):
         example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
         ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
@@ -339,8 +347,9 @@ def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X, norms, _ = shared
-    lo, hi = np.sort(rng.random((2, cfg.samples)), axis=0)
+    X, norms, *_ = shared
+    a, b = rng.random((2, cfg.samples))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
     for p in cfg.p_values:
         applicable = (hi > lo) & (_slack_rows(norms[p], n, hi, p) >= 0.0)
         idx = np.nonzero(applicable)[0]
@@ -381,7 +390,10 @@ class _Tally:
 
     def fold(self, margin_blocks) -> None:
         """Fold a check's margin blocks: a margin fails at or below its threshold when strict, below it otherwise,
-        NaN always; the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null)."""
+        NaN always; the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null).
+
+        A block whose least margin passes, NaN propagated, has no failure and is not scanned.
+        """
         for margins, threshold, strict, example in margin_blocks:
             margins = np.asarray(margins, dtype=float).ravel()
             if not margins.size:  # an empty block checks nothing
@@ -390,7 +402,10 @@ class _Tally:
             low = float(np.fmin.reduce(margins))  # the least numeric margin: NaN is never the worst
             if not math.isnan(low) and (self.worst is None or low < self.worst):
                 self.worst = low
-            bad = np.flatnonzero(~(margins > threshold if strict else margins >= threshold))
+            passes = np.greater if strict else np.greater_equal
+            if passes(np.minimum.reduce(margins), threshold):  # a NaN margin makes the least NaN, which fails
+                continue
+            bad = np.flatnonzero(~passes(margins, threshold))
             self.failures += bad.size
             for i in bad[: COUNTEREXAMPLE_CAP - len(self.examples)]:
                 margin = None if np.isnan(margins[i]) else float(margins[i])
@@ -405,9 +420,9 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
     with np.errstate(all="ignore"):
         for n in cfg.n_values:
             X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True, work=work)
-            shared = X, dict(zip(chain, _pnorm_rows(X, chain, work))), work
+            shared = X, dict(zip(chain, _pnorm_rows(X, chain, work))), work, {}
             for name, tally in tallies.items():
                 tally.fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
-            del shared  # free these norms before the next dimension's are made
+            del shared  # free these norms and entropies before the next dimension's are made
     results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
     return VerificationReport(cfg, tuple(results))

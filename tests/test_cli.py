@@ -662,6 +662,18 @@ class TestVerify:
         digest = "9abd50eb01c21710434d5329cf79b4377746fc2c11d482bf3db812594386a1db"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_nan_margin_report_bytes_are_pinned(self, capsys, tmp_path):
+        # x^1000 underflows to 0 in 200 dimensions, so both entropy suites fail with null
+        # margins: every block takes the fold's full scan, and the two suites share H(w)
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "verify", "--suite", "entropy-identity,entropy-sandwich", "--samples", "200",
+            "--n-values", "200", "--p-chain", "2,1000", "--seed", "42", "--out", str(out),
+        )
+        assert code == 1
+        digest = "95766eb16a1bd277be17edd8738b29d1f1d57a3eafc0ed6234449a6ef517e2a7"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_nan_margins_fail_without_warnings(self, capsys, recwarn):
         # x^1000 underflows to 0 in 200 dimensions, so weights are 0/0
         code, doc = run_json(

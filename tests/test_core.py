@@ -369,6 +369,54 @@ class TestChainKernels:
             assert np.array_equal(bits(_pnorm_rows(rows, (1.0,))), bits(total[None]))
 
 
+def masked_log_rows(rows, out):
+    """ln x where x > 0 and 0 elsewhere, by fill, mask and copy: the formula _log_rows had before."""
+    out.fill(1.0)
+    np.copyto(out, rows, where=rows > 0)
+    return np.log(out, out=out)
+
+
+def hard_rows(n: int, count: int, order: str) -> np.ndarray:
+    """count x n rows in [0, 1], each with an entry 1: exact zeros, signed zeros, 5e-324 and vertices among them."""
+    rng = np.random.default_rng(n * count)
+    rows = rng.random((count, n))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[rng.random(rows.shape) < 0.1] = 5e-324
+    rows[np.arange(count), rng.integers(n, size=count)] = 1.0  # no row is all zero, so no weight is 0/0
+    rows[::3] = np.eye(n)[rng.integers(n, size=rows[::3].shape[0])]
+    return np.asarray(rows, order=order)
+
+
+class TestLogRows:
+    """ln x without a mask gives the entropy kernels the bits of the masked formula: the verify pins depend on it."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, count", [(2, 1), (3, 5), (7, COLUMN_ROWS_PER_ENTRY * 7 + 3), (130, 40)])
+    def test_power_sum_and_entropy_keep_their_bits(self, monkeypatch, n, count, order):
+        x = hard_rows(n, count, order)
+        # weights with NaN rows, as 0/0 makes them where x^p underflows, among zeros and subnormals
+        w = x / _row_sum(x, keepdims=True)
+        w[1::4] = np.nan
+        for p in (2.0, 3.5, 60.0):
+            with monkeypatch.context() as patched:
+                patched.setattr(core, "_log_rows", masked_log_rows)
+                expected = [_power_sum_rows(x, p), _shannon_rows(w)]
+            for work in workspaces(x):
+                for logs in (None, _log_rows(x, np.empty_like(x))):
+                    got = _power_sum_rows(x, p, logs=logs, **work)
+                    for a, b in zip(got, expected[0]):
+                        assert np.array_equal(bits(a), bits(b)), (p, logs is None)
+                assert np.array_equal(bits(_shannon_rows(w, **work)), bits(expected[1]))
+
+    def test_ln_x_for_positive_x_and_finite_at_zero(self):
+        x = np.array([5e-324, 1e-310, 1e-300, 0.5, 1.0, 3.0, 1e300, 0.0, -0.0])
+        logs = _log_rows(x, np.empty_like(x))
+        assert np.array_equal(bits(logs[:7]), bits(np.log(x[:7])))
+        assert np.isfinite(logs[7:]).all() and (logs[7:] < 0).all()
+        assert np.isnan(_log_rows(np.array([np.nan]), np.empty(1))).all()
+
+
 # ------------------------------------------------ tolerances and caps
 
 

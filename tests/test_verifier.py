@@ -220,6 +220,24 @@ class TestRunSuite:
         shared = [draw for draw in draws if len(draw[0]) == 3]
         assert shared == [((n, 0, 0), n, cfg.samples, True) for n in cfg.n_values]
 
+    @pytest.mark.parametrize("suites", [("entropy-identity", "entropy-sandwich"), ("entropy-sandwich",)], ids=",".join)
+    def test_the_samples_entropy_is_made_once_per_dimension_and_exponent(self, monkeypatch, suites):
+        # entropy-sandwich reads the H(w) that entropy-identity made of the shared block, and makes it
+        # itself only when run alone; the identity's padded rows and vertices are blocks of other sizes
+        made = []
+        shannon = verifier._shannon_rows
+
+        def counted(w, *args, **kwargs):
+            if w.shape[0] == SMALL.samples:
+                made.append(w.shape[-1])
+            return shannon(w, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "_shannon_rows", counted)
+        cfg = dataclasses.replace(SMALL, suites=suites, n_values=(7, 2, 3))
+        run_suite(cfg)
+        finite = sum(math.isfinite(p) for p in cfg.p_values)
+        assert made == [n for n in cfg.n_values for _ in range(finite)]
+
     @pytest.mark.parametrize(
         "cfg",
         [SMALL, VerifyConfig(samples=50, n_values=(7, 2), p_values=(3.5, 60.0, math.inf), seed=3)],
@@ -389,6 +407,76 @@ class TestDriver:
         assert {list(e)[-1] for e in result.counterexamples} == {"margin"}
         assert result.counterexamples[0]["margin"] == -2001.0
         assert result.worst_margin == -3000.0 - 100 - per_block
+
+
+def reference_fold(tally, margin_blocks):
+    """The fold as it was before a passing block skipped its scan: every block is scanned."""
+    for margins, threshold, strict, example in margin_blocks:
+        margins = np.asarray(margins, dtype=float).ravel()
+        if not margins.size:
+            continue
+        tally.checked += margins.size
+        low = float(np.fmin.reduce(margins))
+        if not math.isnan(low) and (tally.worst is None or low < tally.worst):
+            tally.worst = low
+        bad = np.flatnonzero(~(margins > threshold if strict else margins >= threshold))
+        tally.failures += bad.size
+        for i in bad[: verifier.COUNTEREXAMPLE_CAP - len(tally.examples)]:
+            margin = None if np.isnan(margins[i]) else float(margins[i])
+            tally.examples.append({**example(int(i)), "margin": margin})
+
+
+@st.composite
+def margin_blocks(draw):
+    """(margins, threshold, strict) blocks: passing ones, and mixed ones of NaN, ±0, ±inf and the threshold itself."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 6))):
+        threshold = draw(st.sampled_from([0.0, -0.0, -verifier.NONSTRICT_SLACK, verifier.STRICT_MARGIN, 1e-9]))
+        strict = draw(st.booleans())
+        edges = st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, threshold])
+        passing = st.one_of(st.sampled_from([math.inf, 1.0]), st.floats(0.5, 1e300))
+        if not strict:
+            passing = st.one_of(passing, st.just(threshold))
+        mixed = st.one_of(edges, st.floats(-1e3, 1e3), passing)
+        blocks.append((draw(st.lists(draw(st.sampled_from([passing, mixed])), max_size=8)), threshold, strict))
+    return blocks
+
+
+def bits_or_none(value):
+    return None if value is None else int(np.float64(value).view(np.int64))
+
+
+class TestFold:
+    """_Tally.fold skips the scan of a block whose least margin passes, and folds as the full scan does."""
+
+    @settings(max_examples=400)
+    @given(margin_blocks())
+    @example([([-1.0] * 6, 0.0, False), ([math.nan] * 6, 0.0, True), ([1.0], 0.0, True)])  # the cap inside block 2
+    @example([([-0.0, 0.0], 0.0, False), ([0.0, -0.0], 0.0, True), ([-0.0], -0.0, False)])
+    @example([([1.0, math.nan, 2.0], -1e-10, False), ([math.inf, -math.inf], 0.0, True)])
+    @example([([1e-9, 1e-9], 1e-9, False), ([1e-9], 1e-9, True)])
+    def test_matches_the_full_scan(self, blocks):
+        def yielded():
+            for k, (margins, threshold, strict) in enumerate(blocks):
+                yield margins, threshold, strict, lambda i, k=k: {"block": k, "i": i}
+
+        got, expected = verifier._Tally(), verifier._Tally()
+        got.fold(yielded())
+        reference_fold(expected, yielded())
+        assert (got.checked, got.failures) == (expected.checked, expected.failures)
+        assert bits_or_none(got.worst) == bits_or_none(expected.worst)
+        assert [(e["block"], e["i"], bits_or_none(e["margin"])) for e in got.examples] == [
+            (e["block"], e["i"], bits_or_none(e["margin"])) for e in expected.examples
+        ]
+
+    def test_a_passing_block_is_not_scanned(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a passing block was scanned")
+
+        monkeypatch.setattr(verifier.np, "flatnonzero", refuse)
+        tally = verifier._Tally()
+        tally.fold([([1.0, 0.0, math.inf], 0.0, False, None), ([2.0, 1e-12 * 2], 1e-12, True, None)])
+        assert (tally.checked, tally.failures, tally.worst, tally.examples) == (5, 0, 0.0, [])
 
 
 class TestBoundaryCases:
