@@ -94,7 +94,7 @@ def _eps_grid(text: str) -> list[float]:
     span = (stop - start) / step + 1e-9
     if span >= MAX_GRID_POINTS:
         raise ValueError(f"invalid grid {text!r}: more than {MAX_GRID_POINTS} points")
-    return [min(start + k * step, 1.0) for k in range(math.floor(span) + 1)]
+    return [min(start + k * step, stop) for k in range(math.floor(span) + 1)]
 
 
 def _read_rows(path: str, nonneg: bool = True, positive: bool = False) -> np.ndarray:

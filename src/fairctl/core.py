@@ -2,10 +2,10 @@
 
 The row kernels work along the last axis of one vector or stacked rows: lp norms at
 one exponent or a chain of them, power sums with their p-derivative, Shannon entropy.
-Everything here is a pure function of immutable vector values, so all operations are
-safe to call concurrently; only a ``_Workspace`` belongs to one run at a time. Large
-exponents are handled by factoring out the largest component before powering, which
-keeps norms accurate for p up to at least 1e4 without intermediate overflow or underflow.
+Everything here is a pure function of immutable vector values, and every kernel makes
+its own temporaries, so all operations are safe to call concurrently. Large exponents
+are handled by factoring out the largest component before powering, which keeps norms
+accurate for p up to at least 1e4 without intermediate overflow or underflow.
 """
 
 from __future__ import annotations
@@ -229,33 +229,7 @@ def _row_sum(rows: np.ndarray, keepdims: bool = False) -> np.ndarray:
     return total[..., None] if keepdims else total
 
 
-class _Workspace:
-    """Three float64 slots, "sample", "ratio" and "power", of ``size`` values each, that one run reuses.
-
-    ``take`` gives an uninitialised view of a slot, shaped and laid out as
-    asked, or a fresh array where it does not fit. Kernels write temporaries
-    into the slots they name; no two blocks alive at once may share a slot.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._slots = {slot: np.empty(size) for slot in ("sample", "ratio", "power")}
-
-    def take(self, slot: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-        count = math.prod(shape)
-        if not 0 < count <= self.size:
-            return np.empty(shape, order=order)
-        return self._slots[slot][:count].reshape(shape, order=order)
-
-    def like(self, slot: str, a: np.ndarray) -> np.ndarray:
-        """A view of the slot laid out as numpy lays out a result shaped like a."""
-        return self.take(slot, a.shape, "F" if a.flags.f_contiguous else "C")
-
-
-_NO_WORKSPACE = _Workspace(0)  # no room: every array it gives is fresh
-
-
-def _pnorm_rows(rows: np.ndarray, p, work: _Workspace = _NO_WORKSPACE) -> np.ndarray:
+def _pnorm_rows(rows: np.ndarray, p) -> np.ndarray:
     """lp norm along the last axis, max-factored for large-p stability.
 
     Accepts 1-D vectors or stacked rows; rows must be nonnegative with a
@@ -269,15 +243,14 @@ def _pnorm_rows(rows: np.ndarray, p, work: _Workspace = _NO_WORKSPACE) -> np.nda
     if set(chain) != {1.0}:  # p = 1 alone is a row sum and needs no peak
         peak = _row_max(rows, True)  # keepdims=True, by position as inside _row_max
     if set(chain) - {1.0, INFINITY}:  # some finite p other than 1 needs the ratio block
-        ratios = np.divide(rows, peak, out=work.like("ratio", rows))
+        ratios = rows / peak
     for k, q in enumerate(chain):
         if q == INFINITY:
             norms[k] = peak[..., 0]
         elif q == 1.0:
             norms[k] = _row_sum(rows)
-        else:  # each p raised into one reused buffer
-            powered = np.power(ratios, q, out=work.like("power", rows))
-            norms[k] = peak[..., 0] * np.power(_row_sum(powered), 1.0 / q)
+        else:  # numpy's pow, not the operator, which may square where q == 2
+            norms[k] = peak[..., 0] * np.power(_row_sum(np.power(ratios, q)), 1.0 / q)
     return norms if chain is p else norms[0]
 
 
@@ -300,35 +273,33 @@ def dispersion_constant(n: int, p: float) -> float:
     return float(n) ** (1.0 - 1.0 / p) - 1.0
 
 
-def _log_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ln x into out: exactly ln x for every x > 0, and a finite ln(5e-324) at 0, so a term 0 ln 0 is ±0.
+def _log_rows(rows: np.ndarray) -> np.ndarray:
+    """ln x: exactly ln x for every x > 0, and a finite ln(5e-324) at 0, so a term 0 ln 0 is ±0.
 
     5e-324 is the least positive double, so it raises no positive x. A row sum
     absorbs the ±0 terms: it starts at +0.0, and +0.0 + -0.0 is +0.0.
     """
-    return np.log(np.maximum(rows, 5e-324, out=out), out=out)
+    logs = np.maximum(rows, 5e-324)
+    return np.log(logs, out=logs)
 
 
-def _power_sum_rows(rows: np.ndarray, p: float, work: _Workspace = _NO_WORKSPACE, logs=None):
-    """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum, in the "power" slot.
+def _power_sum_rows(rows: np.ndarray, p: float, logs=None):
+    """sum x_i^p, its p-derivative sum x_i^p ln x_i, and the weights x_i^p / sum.
 
     Along the last axis, for a 1-D vector or stacked rows; terms with x_i = 0 contribute ±0 to
     the derivative (0 ln 0 = 0). ``logs`` may bring ``_log_rows(rows)``, made once for all p.
     """
-    powered = work.like("power", rows)
-    powered[...] = rows
-    powered **= p  # the operator, as rows**p: numpy may square where p == 2 rather than call pow
+    powered = rows**p  # the operator: numpy may square where p == 2 rather than call pow
     value = _row_sum(powered, keepdims=True)
-    product = work.like("ratio", rows)
     if logs is None:
-        logs = _log_rows(rows, product)
-    derivative = _row_sum(np.multiply(powered, logs, out=product))
+        logs = _log_rows(rows)
+    derivative = _row_sum(powered * logs)
     return value[..., 0], derivative, np.divide(powered, value, out=powered)
 
 
-def _shannon_rows(w: np.ndarray, work: _Workspace = _NO_WORKSPACE) -> np.ndarray:
-    """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention; "ratio" slot is scratch."""
-    product = _log_rows(w, work.like("ratio", w))
+def _shannon_rows(w: np.ndarray) -> np.ndarray:
+    """-sum w_i ln w_i along the last axis, with the 0 ln 0 = 0 convention."""
+    product = _log_rows(w)
     return -_row_sum(np.multiply(w, product, out=product))
 
 

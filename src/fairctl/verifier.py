@@ -34,8 +34,6 @@ from .core import (
     _row_max,
     _row_sum,
     _shannon_rows,
-    _NO_WORKSPACE,
-    _Workspace,
 )
 # _eps_rows has no caller here, but the benchmark's fairbench/tracing.py wraps it by name
 from .fairness import _cv2_rows, _cv_bound_rows, _eps_rows, _slack_rows, _threshold_rows
@@ -170,24 +168,21 @@ def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _sample_rows(n: int, count: int, rng, exclude_special: bool = False, work=_NO_WORKSPACE) -> np.ndarray:
-    """Flat-Dirichlet rows in the "sample" slot: unit-exponential draws normalized by their sum.
+def _sample_rows(n: int, count: int, rng, exclude_special: bool = False) -> np.ndarray:
+    """Flat-Dirichlet rows: unit-exponential draws normalized by their sum.
 
     The block is column-major, so the row kernels read contiguous columns.
     With exclude_special, rows within EXCLUSION_RADIUS (max norm) of any
     vertex e_i or of e/n are rejected and redrawn.
     """
-    rows = work.take("sample", (count, n), "F")
+    rows = np.empty((count, n), order="F")
     filled = 0
     while filled < count:
-        draw = rng.standard_exponential(out=work.take("power", (count - filled, n)))
+        draw = rng.standard_exponential((count - filled, n))
         batch = np.divide(draw, _row_sum(draw, keepdims=True), out=draw)
         if exclude_special:
             # a row is within eps of some e_i exactly when its max >= 1 - eps
-            gap = np.subtract(batch, 1.0 / n, out=work.take("ratio", batch.shape))
-            keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (
-                _row_max(np.abs(gap, out=gap)) > EXCLUSION_RADIUS
-            )
+            keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (_row_max(np.abs(batch - 1.0 / n)) > EXCLUSION_RADIUS)
             batch = batch if keep.all() else batch[keep]
         rows[filled : filled + batch.shape[0]] = batch
         filled += batch.shape[0]
@@ -215,9 +210,9 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
 
 
 # Each check below states one suite's inequality for one dimension n: it reads
-# the block of n shared as (X, norms, work, entropies) -- the samples, their
-# norms by exponent, the run's workspace and the samples' power-sum entropies
-# H(w) by finite exponent, filled by entropy-identity as it makes them -- draws
+# the block of n shared as (X, norms, entropies) -- the read-only samples, their
+# norms by exponent and the samples' power-sum entropies H(w) by finite
+# exponent, filled by entropy-identity as it makes them -- draws
 # what else it needs from the (suite, n) generator it is given, and yields
 # blocks of (margins, threshold, strict, example), where example(i) describes
 # the i-th margin of its block.
@@ -260,43 +255,40 @@ def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
-    _, _, work, _ = shared
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
     vertices = np.eye(n)
-    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values, work)):
+    for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values)):
         d = dispersion_constant(n, p)
 
         def example(i: int) -> dict:
             sample, vertex = divmod(i, n)
             return {"n": n, "p": _p_token(p), "vertex": int(vertex), "epsilon": float(eps[sample])}
 
-        # the (samples, n) margins are folded before the next kernel runs, so they fill the "power" slot
-        margins = np.multiply(1.0 + eps[:, None] * d, tv[None, :], out=work.take("power", (cfg.samples, n)))
-        margins -= 1.0
+        margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
         yield _uniform_gap(cfg, n, p)
 
 
-def _entropy_rows(rows: np.ndarray, p: float, work: _Workspace, logs=None):
+def _entropy_rows(rows: np.ndarray, p: float, logs=None):
     """S_p, its p-derivative S_p' and the Shannon entropy H(w) of the weights w = x^p / S_p, by row."""
-    total, derivative, weights = _power_sum_rows(rows, p, work, logs)
-    return total, derivative, _shannon_rows(weights, work)
+    total, derivative, weights = _power_sum_rows(rows, p, logs)
+    return total, derivative, _shannon_rows(weights)
 
 
 def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    X, _, work, entropies = shared
+    X, _, entropies = shared
     blocks = [X]
     if n >= 3:
-        # zero-component rows: lower-dimensional samples padded with a zero, drawn fresh (the block has the slot)
+        # zero-component rows: lower-dimensional samples padded with a zero
         padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
         blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
     blocks.append(np.eye(n))
-    logs = [_log_rows(rows, np.empty_like(rows)) for rows in blocks]  # once per block, for every p
+    logs = [_log_rows(rows) for rows in blocks]  # once per block, for every p
     for p in _finite_ps(cfg):
         for rows, log_x in zip(blocks, logs):
-            total, derivative, entropy = _entropy_rows(rows, p, work, log_x)
+            total, derivative, entropy = _entropy_rows(rows, p, log_x)
             if rows is X:
                 entropies[p] = entropy  # entropy-sandwich reads the samples' H(w) from here
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
@@ -305,10 +297,10 @@ def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: tuple):
 
 def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: tuple):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, norms, work, entropies = shared
+    X, norms, entropies = shared
     for p in _finite_ps(cfg):
         # entropy-identity made H(w) already, unless it did not run
-        entropy = entropies[p] if p in entropies else _entropy_rows(X, p, work)[2]
+        entropy = entropies[p] if p in entropies else _entropy_rows(X, p)[2]
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
@@ -413,14 +405,14 @@ class _Tally:
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
-    """Run the suites one dimension at a time in one workspace; 0/0 is a failing margin, not a warning."""
-    work = _Workspace(cfg.samples * max(cfg.n_values))
+    """Run the suites one dimension at a time on one read-only sample block; 0/0 is a failing margin, not a warning."""
     chain = tuple(sorted({1.0, 2.0, *cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
     tallies = {name: _Tally() for name in cfg.suites}
     with np.errstate(all="ignore"):
         for n in cfg.n_values:
-            X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True, work=work)
-            shared = X, dict(zip(chain, _pnorm_rows(X, chain, work))), work, {}
+            X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True)
+            X.flags.writeable = False  # the checks share it, so none may write it
+            shared = X, dict(zip(chain, _pnorm_rows(X, chain))), {}
             for name, tally in tallies.items():
                 tally.fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
             del shared  # free these norms and entropies before the next dimension's are made

@@ -511,6 +511,12 @@ class TestSolve:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("grid, size, last", [("0:0.3:0.1", 4, 0.3), ("0.9:1:0.05", 3, 1.0)])
+    def test_grid_ends_at_its_stop(self, grid, size, last):
+        # 0 + 3 * 0.1 is 0.30000000000000004, past the stop it was given
+        points = cli._eps_grid(grid)
+        assert len(points) == size and points[-1] == last
+
     def test_three_point_grid_with_csv(self, capsys, tmp_path, c321_csv):
         out_csv = tmp_path / "front.csv"
         code, doc = run_json(
@@ -725,8 +731,8 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "corner", "--samples", "50")
         assert code == 2
 
-    def test_a_workspace_too_large_to_allocate_exits_two(self, capsys):
-        # (10^15 + 1) * 2 float64 slots are 16 PB each, past a 2^47-byte address space: nothing is reserved
+    def test_a_sample_block_too_large_to_allocate_exits_two(self, capsys):
+        # 10^15 x 2 float64 samples are 16 PB, past a 2^47-byte address space: nothing is reserved
         code, out, err = run(capsys, "verify", "--suite", "corner", "--samples", "1000000000000000", "--n-values", "2")
         assert code == 2
         assert out == ""

@@ -25,7 +25,6 @@ from fairctl.core import (
     _row_max,
     _row_sum,
     _shannon_rows,
-    _Workspace,
     check_iterations,
     check_tolerance,
 )
@@ -252,11 +251,6 @@ def bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def workspaces(x):
-    """Keyword arguments for no workspace, one that holds x, and one too small for it."""
-    return [{}, {"work": _Workspace(x.size)}, {"work": _Workspace(1)}]
-
-
 def reference_pnorm(rows, p):
     """One exponent's norm as plain numpy expressions: the max, the sum, or the max-factored power sum."""
     if p == INFINITY:
@@ -292,7 +286,7 @@ kernel_inputs = (
 
 
 class TestChainKernels:
-    """The exponent chain and the workspace change no bit of a kernel's result: the verify pins depend on it."""
+    """Each kernel, at one exponent or a chain, has the bits of its plain numpy expressions: the verify pins need it."""
 
     @settings(max_examples=200)
     @given(*kernel_inputs, chain_exponents)
@@ -304,31 +298,29 @@ class TestChainKernels:
         x = kernel_rows(seed, rows, n, profile, order)
         with np.errstate(all="ignore"):  # an all-zero row reads 0/0 in both forms
             expected = np.stack([reference_pnorm(x, p) for p in ps])
-            for work in workspaces(x):
-                for form in (ps, tuple(ps)):
-                    stacked = _pnorm_rows(x, form, **work)
-                    assert stacked.shape == (len(ps),) + x.shape[:-1]
-                    assert np.array_equal(bits(stacked), bits(expected))
-                for p, norm in zip(ps, expected):  # a single exponent is a chain of one, unstacked
-                    single = _pnorm_rows(x, p, **work)
-                    assert np.shape(single) == x.shape[:-1]
-                    assert np.array_equal(bits(single), bits(norm))
+            for form in (ps, tuple(ps)):
+                stacked = _pnorm_rows(x, form)
+                assert stacked.shape == (len(ps),) + x.shape[:-1]
+                assert np.array_equal(bits(stacked), bits(expected))
+            for p, norm in zip(ps, expected):  # a single exponent is a chain of one, unstacked
+                single = _pnorm_rows(x, p)
+                assert np.shape(single) == x.shape[:-1]
+                assert np.array_equal(bits(single), bits(norm))
 
     @settings(max_examples=150)
     @given(*kernel_inputs, st.sampled_from([2.0, 3.0, 3.5, 10.0, 60.0, 1000.0]))
     @example(0, 20, 10, "zeros", "F", 2.0)
     @example(1, None, 130, "nine decades", "C", 1000.0)
-    def test_power_sum_and_entropy_with_and_without_a_workspace(self, seed, rows, n, profile, order, p):
+    def test_power_sum_and_entropy_are_the_plain_expressions(self, seed, rows, n, profile, order, p):
         x = kernel_rows(seed, rows, n, profile, order)
         with np.errstate(all="ignore"):  # weights of an all-zero row are 0/0 in both forms
             expected = reference_power_sum(x, p)
             entropy = reference_shannon(expected[2])
-            for work in workspaces(x):
-                for logs in (None, _log_rows(x, np.empty_like(x))):
-                    got = _power_sum_rows(x, p, logs=logs, **work)
-                    for a, b in zip(got, expected):
-                        assert np.array_equal(bits(a), bits(b))
-                    assert np.array_equal(bits(_shannon_rows(got[2], **work)), bits(entropy))
+            for logs in (None, _log_rows(x)):
+                got = _power_sum_rows(x, p, logs=logs)
+                for a, b in zip(got, expected):
+                    assert np.array_equal(bits(a), bits(b))
+                assert np.array_equal(bits(_shannon_rows(got[2])), bits(entropy))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 10, 17, 128, 130])
     def test_uniform_row_has_its_bits_alone_and_in_a_block(self, n):
@@ -338,22 +330,11 @@ class TestChainKernels:
         x = kernel_rows(n, COLUMN_ROWS_PER_ENTRY * n + 3, n, "exponential", "F")
         x[::7] = uniform  # at the first row, among the others and at the last
         x[-1] = uniform
-        for work in workspaces(x):
-            stacked = _pnorm_rows(x, ps, **work)
-            for p, norms in zip(ps, stacked):
-                alone = _pnorm_rows(uniform, p)
-                assert np.array_equal(bits(norms[::7]), bits(np.broadcast_to(alone, norms[::7].shape))), p
-                assert bits(norms[-1]) == bits(alone[0]), p
-
-    def test_workspace_views_are_laid_out_as_asked(self):
-        work = _Workspace(12)
-        block = work.take("sample", (3, 4), "F")
-        assert block.flags.f_contiguous and block.shape == (3, 4)
-        assert np.shares_memory(block, work.take("sample", (2, 6)))
-        assert not np.shares_memory(block, work.take("ratio", (3, 4)))
-        assert not np.shares_memory(block, work.take("sample", (13,)))  # too large: a fresh array
-        assert work.like("power", block).flags.f_contiguous
-        assert work.like("power", np.ascontiguousarray(block)).flags.c_contiguous
+        stacked = _pnorm_rows(x, ps)
+        for p, norms in zip(ps, stacked):
+            alone = _pnorm_rows(uniform, p)
+            assert np.array_equal(bits(norms[::7]), bits(np.broadcast_to(alone, norms[::7].shape))), p
+            assert bits(norms[-1]) == bits(alone[0]), p
 
     def test_a_chain_of_one_alone_takes_no_peak(self, monkeypatch):
         # p = 1 is the row sum; the solver's p = infinity dual bound asks for it alone
@@ -369,9 +350,9 @@ class TestChainKernels:
             assert np.array_equal(bits(_pnorm_rows(rows, (1.0,))), bits(total[None]))
 
 
-def masked_log_rows(rows, out):
+def masked_log_rows(rows):
     """ln x where x > 0 and 0 elsewhere, by fill, mask and copy: the formula _log_rows had before."""
-    out.fill(1.0)
+    out = np.ones_like(rows)
     np.copyto(out, rows, where=rows > 0)
     return np.log(out, out=out)
 
@@ -402,19 +383,18 @@ class TestLogRows:
             with monkeypatch.context() as patched:
                 patched.setattr(core, "_log_rows", masked_log_rows)
                 expected = [_power_sum_rows(x, p), _shannon_rows(w)]
-            for work in workspaces(x):
-                for logs in (None, _log_rows(x, np.empty_like(x))):
-                    got = _power_sum_rows(x, p, logs=logs, **work)
-                    for a, b in zip(got, expected[0]):
-                        assert np.array_equal(bits(a), bits(b)), (p, logs is None)
-                assert np.array_equal(bits(_shannon_rows(w, **work)), bits(expected[1]))
+            for logs in (None, _log_rows(x)):
+                got = _power_sum_rows(x, p, logs=logs)
+                for a, b in zip(got, expected[0]):
+                    assert np.array_equal(bits(a), bits(b)), (p, logs is None)
+            assert np.array_equal(bits(_shannon_rows(w)), bits(expected[1]))
 
     def test_ln_x_for_positive_x_and_finite_at_zero(self):
         x = np.array([5e-324, 1e-310, 1e-300, 0.5, 1.0, 3.0, 1e300, 0.0, -0.0])
-        logs = _log_rows(x, np.empty_like(x))
+        logs = _log_rows(x)
         assert np.array_equal(bits(logs[:7]), bits(np.log(x[:7])))
         assert np.isfinite(logs[7:]).all() and (logs[7:] < 0).all()
-        assert np.isnan(_log_rows(np.array([np.nan]), np.empty(1))).all()
+        assert np.isnan(_log_rows(np.array([np.nan]))).all()
 
 
 # ------------------------------------------------ tolerances and caps

@@ -19,7 +19,7 @@ from fairctl import (
     run_suite,
 )
 from fairctl import verifier
-from fairctl.core import _row_sum, _Workspace
+from fairctl.core import _row_sum
 from fairctl.verifier import _sample_rows
 
 
@@ -56,7 +56,7 @@ class TestSampling:
 
 
 def reference_sample_rows(n, count, generator, exclude_special=False):
-    """The sampler with a fresh array for every draw and every step, as plain numpy expressions."""
+    """The sampler as plain numpy expressions, each draw and step a fresh array."""
     rows = np.empty((count, n), order="F")
     filled = 0
     while filled < count:
@@ -71,18 +71,17 @@ def reference_sample_rows(n, count, generator, exclude_special=False):
     return rows
 
 
-class TestSamplingWorkspace:
-    """A workspace changes neither the samples, bit for bit, nor the generator state they leave."""
+class TestSamplingReference:
+    """The sampler gives the plain expressions' samples, bit for bit, and leaves their generator state."""
 
     def assert_same_draws(self, n, count, seed, exclude):
         expected_rng = rng(seed)
         expected = reference_sample_rows(n, count, expected_rng, exclude)
-        for work in ({}, {"work": _Workspace(count * n)}, {"work": _Workspace(1)}):
-            generator = rng(seed)
-            rows = _sample_rows(n, count, generator, exclude, **work)
-            assert rows.shape == (count, n) and rows.flags.f_contiguous
-            assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
-            assert generator.bit_generator.state == expected_rng.bit_generator.state
+        generator = rng(seed)
+        rows = _sample_rows(n, count, generator, exclude)
+        assert rows.shape == (count, n) and rows.flags.f_contiguous
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+        assert generator.bit_generator.state == expected_rng.bit_generator.state
 
     @settings(max_examples=60)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 300), st.booleans())
@@ -209,9 +208,9 @@ class TestRunSuite:
             keys[id(rng)] = key
             return rng
 
-        def recorded(n, count, rng, exclude_special=False, **work):
+        def recorded(n, count, rng, exclude_special=False):
             draws.append((keys[id(rng)], n, count, exclude_special))
-            return sample_rows(n, count, rng, exclude_special, **work)
+            return sample_rows(n, count, rng, exclude_special)
 
         monkeypatch.setattr(verifier, "_generator", keyed)
         monkeypatch.setattr(verifier, "_sample_rows", recorded)
@@ -302,7 +301,7 @@ class TestRunSuite:
         assert report.to_dict()["seed"] == 7
 
     def test_runs_in_threads_match_serial_runs(self):
-        # each run owns its workspace; more threads than cores, switching often
+        # the kernels make their own temporaries and each run its own blocks; more threads than cores, switching often
         configs = [
             VerifyConfig(samples=400, seed=3),
             VerifyConfig(samples=700, n_values=(7, 2), p_values=(2.0, 3.5, math.inf), seed=5),
@@ -352,6 +351,15 @@ class TestDriver:
         result = self.run_fake(monkeypatch, check, n_values=(2,))
         assert (result.checked, result.failures, result.worst_margin) == (2, failures, 0.25)
         assert list(result.counterexamples) == [{"i": 1, "margin": 0.25}] * failures
+
+    def test_a_check_cannot_write_the_shared_block(self, monkeypatch):
+        # every suite of a dimension reads the same samples, so a write would reach the suites after it
+        def check(cfg, n, rng, shared):
+            shared[0][0, 0] = 0.5
+            yield [1.0], 0.0, False, lambda i: {}
+
+        with pytest.raises(ValueError, match="read-only"):
+            self.run_fake(monkeypatch, check)
 
     def test_empty_block_is_neither_counted_nor_worst(self, monkeypatch):
         def check(cfg, n, rng, shared):
