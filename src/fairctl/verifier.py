@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, pairwise
 
 import numpy as np
@@ -163,7 +164,9 @@ def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     A suite's own draws at dimension n are keyed (suite, n) and the block
     all suites of n share (n, 0, 0); a triple never equals a pair, so no
     suite draws from another's substreams, and a run of any subset of the
-    suites reproduces each of them as the full run reports it.
+    suites reproduces each of them as the full run reports it. A suite's
+    generator is made when it first draws, so a suite that draws nothing
+    makes none.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
@@ -171,21 +174,27 @@ def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 def _sample_rows(n: int, count: int, rng, exclude_special: bool = False) -> np.ndarray:
     """Flat-Dirichlet rows: unit-exponential draws normalized by their sum.
 
-    The block is column-major, so the row kernels read contiguous columns.
+    The block is column-major, so the row kernels read contiguous columns:
+    each draw is copied into the rows still unfilled and normalized there.
     With exclude_special, rows within EXCLUSION_RADIUS (max norm) of any
-    vertex e_i or of e/n are rejected and redrawn.
+    vertex e_i or of e/n are rejected, the kept rows moved up, and the rest
+    redrawn.
     """
     rows = np.empty((count, n), order="F")
     filled = 0
     while filled < count:
-        draw = rng.standard_exponential((count - filled, n))
-        batch = np.divide(draw, _row_sum(draw, keepdims=True), out=draw)
+        batch = rows[filled:]
+        batch[...] = rng.standard_exponential(batch.shape)
+        np.divide(batch, _row_sum(batch, keepdims=True), out=batch)
+        kept = batch.shape[0]
         if exclude_special:
             # a row is within eps of some e_i exactly when its max >= 1 - eps
-            keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (_row_max(np.abs(batch - 1.0 / n)) > EXCLUSION_RADIUS)
-            batch = batch if keep.all() else batch[keep]
-        rows[filled : filled + batch.shape[0]] = batch
-        filled += batch.shape[0]
+            spread = np.subtract(batch, 1.0 / n)
+            keep = (1.0 - _row_max(batch) > EXCLUSION_RADIUS) & (_row_max(np.abs(spread, out=spread)) > EXCLUSION_RADIUS)
+            kept = int(np.count_nonzero(keep))
+            if kept < batch.shape[0]:
+                batch[:kept] = batch[keep]
+        filled += kept
     return rows
 
 
@@ -202,39 +211,58 @@ def _finite_ps(cfg: VerifyConfig) -> list[float]:
     return [p for p in cfg.p_values if math.isfinite(p)]
 
 
-def _uniform_gap(cfg: VerifyConfig, n: int, p: float) -> tuple:
+def _thresholds(cfg: VerifyConfig, n: int, shared: tuple) -> list:
+    """eps_p(x) of the samples at each configured exponent, made by the first check of n that reads them."""
+    _, norms, made = shared
+    if "thresholds" not in made:
+        made["thresholds"] = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
+    return made["thresholds"]
+
+
+def _uniform(cfg: VerifyConfig, n: int, shared: tuple) -> tuple:
+    """e/n as a (1, n) row and its norms by configured exponent, one chain made by the first check of n that reads them."""
+    made = shared[2]
+    if "uniform" not in made:
+        uniform = np.full((1, n), 1.0 / n)
+        made["uniform"] = uniform, dict(zip(cfg.p_values, _pnorm_rows(uniform, cfg.p_values)))
+    return made["uniform"]
+
+
+def _uniform_gap(cfg: VerifyConfig, n: int, p: float, shared: tuple) -> tuple:
     """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
-    uniform = np.full((1, n), 1.0 / n)
-    gap = abs(float(_slack_rows(_pnorm_rows(uniform, p)[0], n, 1.0, p)))
+    uniform, norms = _uniform(cfg, n, shared)
+    gap = abs(float(_slack_rows(norms[p][0], n, 1.0, p)))
     return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
 
 
 # Each check below states one suite's inequality for one dimension n: it reads
-# the block of n shared as (X, norms, entropies) -- the read-only samples, their
-# norms by exponent and the samples' power-sum entropies H(w) by finite
-# exponent, filled by entropy-identity as it makes them -- draws
-# what else it needs from the (suite, n) generator it is given, and yields
-# blocks of (margins, threshold, strict, example), where example(i) describes
-# the i-th margin of its block.
+# the block of n shared as (X, norms, made) -- the read-only samples, their
+# norms by exponent and a table of what checks make of them once per
+# dimension: the thresholds (_thresholds), e/n and its norms (_uniform) and
+# the samples' power-sum entropies H(w) by finite exponent, filled by
+# entropy-identity as it makes them. It calls make_rng() for the (suite, n)
+# generator when it first draws what else it needs, and yields blocks of
+# (margins, threshold, strict, example), where example(i) describes the i-th
+# margin of its block in row-major order.
 
 
-def _check_cv_bound(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_cv_bound(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X, norms, *_ = shared
+    X, norms, _ = shared
     cv2 = _cv2_rows(norms[2.0], n)
-    for p in cfg.p_values:
-        bound = _cv_bound_rows(n, p, _threshold_rows(norms[p], n, p))
-        yield bound - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
+    for p, eps in zip(cfg.p_values, _thresholds(cfg, n, shared)):
+        yield _cv_bound_rows(n, p, eps) - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_inclusion(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X, norms, *_ = shared
-    eps = rng.random(cfg.samples)
-    for p1, p2 in pairwise(cfg.p_values):
-        inner = _slack_rows(norms[p2], n, eps, p2) >= 0.0
+    X, norms, _ = shared
+    eps = make_rng().random(cfg.samples)
+    slacks = (_slack_rows(norms[p], n, eps, p) for p in cfg.p_values)  # each made once, for both its pairs
+    for (p1, slack1), (p2, slack2) in pairwise(zip(cfg.p_values, slacks)):
+        inner = slack2 >= 0.0
         idx = np.nonzero(inner)[0]
-        margins = _slack_rows(norms[p1], n, eps, p1)[inner]
+        margins = slack1[inner]
 
         def example(i: int) -> dict:
             j = int(idx[i])
@@ -243,19 +271,19 @@ def _check_inclusion(cfg: VerifyConfig, n: int, rng, shared: tuple):
         yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X, norms, *_ = shared
+    X, norms, _ = shared
     for p in cfg.p_values:
         t = norms[p]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
         yield -_slack_rows(t, n, 1.0, p), STRICT_MARGIN, True, _row_example(X, n, p, epsilon=1.0)
-        yield _uniform_gap(cfg, n, p)
+        yield _uniform_gap(cfg, n, p, shared)
 
 
-def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_corner(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
-    eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * rng.random(cfg.samples)
+    eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * make_rng().random(cfg.samples)
     vertices = np.eye(n)
     for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values)):
         d = dispersion_constant(n, p)
@@ -264,10 +292,12 @@ def _check_corner(cfg: VerifyConfig, n: int, rng, shared: tuple):
             sample, vertex = divmod(i, n)
             return {"n": n, "p": _p_token(p), "vertex": int(vertex), "epsilon": float(eps[sample])}
 
-        margins = (1.0 + eps[:, None] * d) * tv[None, :] - 1.0
+        # (1 + eps d) tv - 1, column-major: a row-major broadcast loops over only n entries at a time
+        margins = np.multiply((1.0 + eps * d)[:, None], tv, order="F")
+        margins -= 1.0
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
-        yield _uniform_gap(cfg, n, p)
+        yield _uniform_gap(cfg, n, p, shared)
 
 
 def _entropy_rows(rows: np.ndarray, p: float, logs=None):
@@ -276,60 +306,61 @@ def _entropy_rows(rows: np.ndarray, p: float, logs=None):
     return total, derivative, _shannon_rows(weights)
 
 
-def _check_entropy_identity(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_entropy_identity(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    X, _, entropies = shared
+    X, _, made = shared
     blocks = [X]
     if n >= 3:
-        # zero-component rows: lower-dimensional samples padded with a zero
-        padded = _sample_rows(n - 1, max(cfg.samples // 10, 1), rng)
-        blocks.append(np.hstack([padded, np.zeros((padded.shape[0], 1))]))
+        # zero-component rows: lower-dimensional samples padded with a zero, column-major as X is
+        count = max(cfg.samples // 10, 1)
+        padded = np.zeros((count, n), order="F")
+        padded[:, :-1] = _sample_rows(n - 1, count, make_rng())
+        blocks.append(padded)
     blocks.append(np.eye(n))
     logs = [_log_rows(rows) for rows in blocks]  # once per block, for every p
     for p in _finite_ps(cfg):
         for rows, log_x in zip(blocks, logs):
             total, derivative, entropy = _entropy_rows(rows, p, log_x)
             if rows is X:
-                entropies[p] = entropy  # entropy-sandwich reads the samples' H(w) from here
+                made["entropy", p] = entropy  # entropy-sandwich reads the samples' H(w) from here
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
             yield cfg.tol - gap, 0.0, False, _row_example(rows, n, p)
 
 
-def _check_entropy_sandwich(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_entropy_sandwich(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, norms, entropies = shared
+    X, norms, made = shared
     for p in _finite_ps(cfg):
         # entropy-identity made H(w) already, unless it did not run
-        entropy = entropies[p] if p in entropies else _entropy_rows(X, p)[2]
+        entropy = made["entropy", p] if ("entropy", p) in made else _entropy_rows(X, p)[2]
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_lemma_a1(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Strict negativity of the log-bound expression on the samples, equality at e/n."""
-    X, norms, *_ = shared
-    uniform = np.full((1, n), 1.0 / n)
+    X, norms, _ = shared
+    uniform, uniform_norms = _uniform(cfg, n, shared)
     for p in _finite_ps(cfg):
         d = dispersion_constant(n, p)
         samples, center = (
             (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
-            for t in (norms[p], _pnorm_rows(uniform, p))
+            for t in (norms[p], uniform_norms[p])
         )
         yield -samples, STRICT_MARGIN, True, _row_example(X, n, p)
         yield cfg.tol - np.abs(center), 0.0, False, _row_example(uniform, n, p)
 
 
-def _check_f_decreasing(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_f_decreasing(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X, norms, *_ = shared
-    thresholds = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
-    for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, thresholds)):
+    X = shared[0]
+    for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, _thresholds(cfg, n, shared))):
         yield eps1 - eps2, STRICT_MARGIN, True, _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
 
 
-def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_norm_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    X, norms, *_ = shared
+    X, norms, _ = shared
     for p1, p2 in combinations([1.0, *cfg.p_values], 2):
         example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
         ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
@@ -337,10 +368,10 @@ def _check_norm_equivalence(cfg: VerifyConfig, n: int, rng, shared: tuple):
         yield ratio * norms[p2] - norms[p1], -NONSTRICT_SLACK, False, example
 
 
-def _check_eps_nesting(cfg: VerifyConfig, n: int, rng, shared: tuple):
+def _check_eps_nesting(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X, norms, *_ = shared
-    a, b = rng.random((2, cfg.samples))
+    X, norms, _ = shared
+    a, b = make_rng().random((2, cfg.samples))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     for p in cfg.p_values:
         applicable = (hi > lo) & (_slack_rows(norms[p], n, hi, p) >= 0.0)
@@ -382,21 +413,31 @@ class _Tally:
 
     def fold(self, margin_blocks) -> None:
         """Fold a check's margin blocks: a margin fails at or below its threshold when strict, below it otherwise,
-        NaN always; the first COUNTEREXAMPLE_CAP failures are kept, each with its margin last (NaN as null).
+        NaN always; the first COUNTEREXAMPLE_CAP failures are kept in row-major order, each with its margin last
+        (NaN as null). The worst margin is the least numeric one, as np.fmin finds it in row-major order.
 
-        A block whose least margin passes, NaN propagated, has no failure and is not scanned.
+        Each block is reduced once, by np.minimum in memory order, so a column-major block is not copied; that
+        least margin is NaN if any margin is. A block whose least margin passes has no failure and is not
+        scanned. Only a least margin that is NaN or a zero is found again, by np.fmin over the row-major copy,
+        so that NaN is never the worst margin and a zero keeps the sign that order gives it; a block that does
+        not pass is scanned over that copy.
         """
         for margins, threshold, strict, example in margin_blocks:
-            margins = np.asarray(margins, dtype=float).ravel()
+            margins = np.asarray(margins, dtype=float)
             if not margins.size:  # an empty block checks nothing
                 continue
             self.checked += margins.size
-            low = float(np.fmin.reduce(margins))  # the least numeric margin: NaN is never the worst
+            least = float(np.minimum.reduce(margins.ravel(order="K")))
+            low = least
+            if math.isnan(least) or least == 0.0:  # the least numeric margin, with its row-major sign of zero
+                margins = margins.ravel()
+                low = float(np.fmin.reduce(margins))
             if not math.isnan(low) and (self.worst is None or low < self.worst):
                 self.worst = low
             passes = np.greater if strict else np.greater_equal
-            if passes(np.minimum.reduce(margins), threshold):  # a NaN margin makes the least NaN, which fails
+            if passes(least, threshold):  # a NaN least margin fails
                 continue
+            margins = margins.ravel()
             bad = np.flatnonzero(~passes(margins, threshold))
             self.failures += bad.size
             for i in bad[: COUNTEREXAMPLE_CAP - len(self.examples)]:
@@ -414,7 +455,8 @@ def run_suite(cfg: VerifyConfig) -> VerificationReport:
             X.flags.writeable = False  # the checks share it, so none may write it
             shared = X, dict(zip(chain, _pnorm_rows(X, chain))), {}
             for name, tally in tallies.items():
-                tally.fold(_CHECKS[name](cfg, n, _generator(cfg.seed, (SUITE_NAMES.index(name), n)), shared))
-            del shared  # free these norms and entropies before the next dimension's are made
+                make_rng = partial(_generator, cfg.seed, (SUITE_NAMES.index(name), n))
+                tally.fold(_CHECKS[name](cfg, n, make_rng, shared))
+            del shared  # free these norms and what the checks made of them before the next dimension's are made
     results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
     return VerificationReport(cfg, tuple(results))

@@ -87,6 +87,8 @@ class TestSamplingReference:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 300), st.booleans())
     @example(0, 10, 10000, False)
     @example(1, 130, 3, True)
+    @example(2, 130, 5000, True)  # past COLUMN_ROW_LIMIT: every row sum is a contiguous copy's
+    @example(3, 10, 250, True)  # fewer than COLUMN_ROWS_PER_ENTRY rows per entry: the same
     def test_same_bits_and_generator_state(self, seed, n, count, exclude):
         self.assert_same_draws(n, count, seed, exclude)
 
@@ -199,13 +201,15 @@ class TestRunSuite:
         "suites", [SUITE_NAMES, ("corner",), ("entropy-identity", "lemma-a1"), ("cv-bound",)], ids=",".join
     )
     def test_each_shared_block_is_drawn_once_per_dimension(self, monkeypatch, suites):
-        # every subset, even corner alone, which reads no samples, draws one excluded block per dimension
-        keys, draws = {}, []
+        # every subset, even corner alone, which reads no samples, draws one excluded block per dimension;
+        # a suite's generator is made only when it draws, so the suites that never draw make none
+        keys, made, draws = {}, [], []
         generator, sample_rows = verifier._generator, verifier._sample_rows
 
         def keyed(seed, key):
             rng = generator(seed, key)
             keys[id(rng)] = key
+            made.append(key)
             return rng
 
         def recorded(n, count, rng, exclude_special=False):
@@ -218,6 +222,13 @@ class TestRunSuite:
         run_suite(cfg)
         shared = [draw for draw in draws if len(draw[0]) == 3]
         assert shared == [((n, 0, 0), n, cfg.samples, True) for n in cfg.n_values]
+        drawing = {"inclusion": 2, "corner": 2, "entropy-identity": 3, "eps-nesting": 2}  # from this dimension on
+        assert made == [
+            key
+            for n in cfg.n_values
+            for key in [(n, 0, 0)] + [(SUITE_NAMES.index(s), n) for s in cfg.suites if drawing.get(s, math.inf) <= n]
+        ]
+
 
     @pytest.mark.parametrize("suites", [("entropy-identity", "entropy-sandwich"), ("entropy-sandwich",)], ids=",".join)
     def test_the_samples_entropy_is_made_once_per_dimension_and_exponent(self, monkeypatch, suites):
@@ -418,7 +429,7 @@ class TestDriver:
 
 
 def reference_fold(tally, margin_blocks):
-    """The fold as it was before a passing block skipped its scan: every block is scanned."""
+    """The fold as it was before a passing block skipped its scan: every block is reduced and scanned in row-major order."""
     for margins, threshold, strict, example in margin_blocks:
         margins = np.asarray(margins, dtype=float).ravel()
         if not margins.size:
@@ -435,8 +446,22 @@ def reference_fold(tally, margin_blocks):
 
 
 @st.composite
+def laid_out(draw, values):
+    """values as a list, or as a 2-D block in C order, in F order or as the transposed view of a C block."""
+    layout = draw(st.sampled_from(["list", "C", "F", "T"]))
+    shapes = [(r, len(values) // r) for r in range(1, len(values) + 1) if len(values) % r == 0]
+    if layout == "list" or not shapes:
+        return values
+    rows, cols = draw(st.sampled_from(shapes))
+    if layout == "T":
+        return np.array(values).reshape(cols, rows).T
+    return np.array(np.reshape(values, (rows, cols)), order=layout)
+
+
+@st.composite
 def margin_blocks(draw):
-    """(margins, threshold, strict) blocks: passing ones, and mixed ones of NaN, ±0, ±inf and the threshold itself."""
+    """(margins, threshold, strict) blocks: passing ones, and mixed ones of NaN, ±0, ±inf and the threshold itself,
+    each a list or a 2-D block in one of three memory layouts."""
     blocks = []
     for _ in range(draw(st.integers(0, 6))):
         threshold = draw(st.sampled_from([0.0, -0.0, -verifier.NONSTRICT_SLACK, verifier.STRICT_MARGIN, 1e-9]))
@@ -446,7 +471,8 @@ def margin_blocks(draw):
         if not strict:
             passing = st.one_of(passing, st.just(threshold))
         mixed = st.one_of(edges, st.floats(-1e3, 1e3), passing)
-        blocks.append((draw(st.lists(draw(st.sampled_from([passing, mixed])), max_size=8)), threshold, strict))
+        values = draw(st.lists(draw(st.sampled_from([passing, mixed])), max_size=8))
+        blocks.append((draw(laid_out(values)), threshold, strict))
     return blocks
 
 
@@ -455,7 +481,7 @@ def bits_or_none(value):
 
 
 class TestFold:
-    """_Tally.fold skips the scan of a block whose least margin passes, and folds as the full scan does."""
+    """_Tally.fold skips the scan of a block whose least margin passes, and folds as the full row-major scan does."""
 
     @settings(max_examples=400)
     @given(margin_blocks())
@@ -463,6 +489,10 @@ class TestFold:
     @example([([-0.0, 0.0], 0.0, False), ([0.0, -0.0], 0.0, True), ([-0.0], -0.0, False)])
     @example([([1.0, math.nan, 2.0], -1e-10, False), ([math.inf, -math.inf], 0.0, True)])
     @example([([1e-9, 1e-9], 1e-9, False), ([1e-9], 1e-9, True)])
+    # ±0 whose first zero differs in row-major and in memory order: the worst margin takes the row-major one's sign
+    @example([(np.asfortranarray([[1.0, -0.0], [0.0, 2.0]]), 0.0, False), (np.array([[3.0, 0.0], [-0.0, 1.0]]).T, 0.0, False)])
+    # a failing column-major block: its counterexamples come in row-major order
+    @example([(np.asfortranarray([[1.0, -2.0, 0.0], [-1.0, -0.0, math.nan]]), 0.0, True)])
     def test_matches_the_full_scan(self, blocks):
         def yielded():
             for k, (margins, threshold, strict) in enumerate(blocks):
