@@ -170,10 +170,16 @@ COLUMN_ROW_LIMIT = 128
 
 #: Fewest rows per entry of a row at which the row kernels reduce by columns.
 #: The column loop makes one ufunc call per column, so a few rows are faster
-#: as one contiguous reduction. Column loop time over the reduction's, on a
-#: 2-core x86 host (C order; F order about half): n = 10, 8.6x at 1 row, 3.2x
-#: at 64, 1.7x at 256, 0.7x at 1024; n = 50, 34x at 1 row, 3.8x at 256, 2.3x
-#: at 1024. At 32 rows per entry the two are about even.
+#: as one contiguous reduction. Column loop time over numpy's reduction, on a
+#: 2-core x86 host with numpy 2.4.6 (min of 7 repeats, two runs):
+#: - sums of C-order rows at 32 rows per entry: 1.1-2.8x for n = 8-100 and
+#:   13x at n = 128, so numpy is faster there, not about even; at 10,000 rows
+#:   0.3x for n = 8-10, 0.8-1.1x at n = 20, 4.5x at n = 32, 13x at n = 128;
+#: - sums of column-major blocks: 0.1-0.9x at every size tried, against the
+#:   reduction of the C-order copy that numpy's bits need, so those blocks
+#:   (every verify block) need the loop;
+#: - _row_max on column-major blocks: 1.1-3.5x at every size tried.
+#: No workload sits near the crossover, so the constant stays as it is.
 COLUMN_ROWS_PER_ENTRY = 32
 
 

@@ -225,17 +225,19 @@ def dispersion_report(
         total = x.sum(axis=-1, keepdims=True)
     y = x / total
     n = y.shape[-1]
-    l1, l2, *norms = _pnorm_rows(y, [1.0, 2.0] + [spec.p for spec in specs])
+    chain = sorted({1.0, 2.0, *(spec.p for spec in specs)})  # each exponent normed once, however often requested
+    norms = dict(zip(chain, _pnorm_rows(y, chain)))
+    l1 = norms[1.0]
     return DispersionReport(
-        cv=np.sqrt(np.maximum(_cv2_rows(l2, n), 0.0)),
+        cv=np.sqrt(np.maximum(_cv2_rows(norms[2.0], n), 0.0)),
         mean=y.mean(axis=-1),
         per_p=tuple(
             DispersionEntry(
                 p=spec.p,
-                eps_max=_threshold_rows(t, n, spec.p),
-                member=_member_rows(t, l1, n, spec.epsilon, spec.p, tol),
+                eps_max=_threshold_rows(norms[spec.p], n, spec.p),
+                member=_member_rows(norms[spec.p], l1, n, spec.epsilon, spec.p, tol),
                 cv_bound=float(_cv_bound_rows(n, spec.p, spec.epsilon)),
             )
-            for spec, t in zip(specs, norms)
+            for spec in specs
         ),
     )

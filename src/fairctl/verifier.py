@@ -77,7 +77,7 @@ class VerifyConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites: {unknown} (known: {list(SUITE_NAMES)})")
-        # each suite runs once, in canonical order, and is echoed as it runs
+        # each suite runs once, and is reported and echoed in canonical order
         object.__setattr__(self, "suites", tuple(s for s in SUITE_NAMES if s in self.suites))
         if not self.n_values:
             raise ValueError("at least one dimension is required")
@@ -211,17 +211,28 @@ def _finite_ps(cfg: VerifyConfig) -> list[float]:
     return [p for p in cfg.p_values if math.isfinite(p)]
 
 
+def _norms(cfg: VerifyConfig, shared: tuple) -> dict:
+    """The samples' norms by exponent, one chain over 1, 2 and the configured exponents made by the first check of n
+    that reads them."""
+    X, made = shared
+    if "norms" not in made:
+        chain = tuple(sorted({1.0, 2.0, *cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
+        made["norms"] = dict(zip(chain, _pnorm_rows(X, chain)))
+    return made["norms"]
+
+
 def _thresholds(cfg: VerifyConfig, n: int, shared: tuple) -> list:
     """eps_p(x) of the samples at each configured exponent, made by the first check of n that reads them."""
-    _, norms, made = shared
+    made = shared[1]
     if "thresholds" not in made:
+        norms = _norms(cfg, shared)
         made["thresholds"] = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
     return made["thresholds"]
 
 
 def _uniform(cfg: VerifyConfig, n: int, shared: tuple) -> tuple:
     """e/n as a (1, n) row and its norms by configured exponent, one chain made by the first check of n that reads them."""
-    made = shared[2]
+    made = shared[1]
     if "uniform" not in made:
         uniform = np.full((1, n), 1.0 / n)
         made["uniform"] = uniform, dict(zip(cfg.p_values, _pnorm_rows(uniform, cfg.p_values)))
@@ -236,27 +247,28 @@ def _uniform_gap(cfg: VerifyConfig, n: int, p: float, shared: tuple) -> tuple:
 
 
 # Each check below states one suite's inequality for one dimension n: it reads
-# the block of n shared as (X, norms, made) -- the read-only samples, their
-# norms by exponent and a table of what checks make of them once per
-# dimension: the thresholds (_thresholds), e/n and its norms (_uniform) and
-# the samples' power-sum entropies H(w) by finite exponent, filled by
-# entropy-identity as it makes them. It calls make_rng() for the (suite, n)
-# generator when it first draws what else it needs, and yields blocks of
-# (margins, threshold, strict, example), where example(i) describes the i-th
-# margin of its block in row-major order.
+# the block of n shared as (X, made) -- the read-only samples and a table of
+# what checks make of them once per dimension, each by the first check that
+# reads it: the samples' norms (_norms, which corner and entropy-identity never
+# read, so run_suite runs those two first), the thresholds (_thresholds), e/n
+# and its norms (_uniform) and the samples' power-sum entropies H(w) by finite
+# exponent, filled by entropy-identity as it makes them. It calls make_rng()
+# for the (suite, n) generator when it first draws what else it needs, and
+# yields blocks of (margins, threshold, strict, example), where example(i)
+# describes the i-th margin of its block in row-major order.
 
 
 def _check_cv_bound(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X, norms, _ = shared
-    cv2 = _cv2_rows(norms[2.0], n)
+    X = shared[0]
+    cv2 = _cv2_rows(_norms(cfg, shared)[2.0], n)
     for p, eps in zip(cfg.p_values, _thresholds(cfg, n, shared)):
         yield _cv_bound_rows(n, p, eps) - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
 def _check_inclusion(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X, norms, _ = shared
+    X, norms = shared[0], _norms(cfg, shared)
     eps = make_rng().random(cfg.samples)
     slacks = (_slack_rows(norms[p], n, eps, p) for p in cfg.p_values)  # each made once, for both its pairs
     for (p1, slack1), (p2, slack2) in pairwise(zip(cfg.p_values, slacks)):
@@ -273,7 +285,7 @@ def _check_inclusion(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
 
 def _check_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X, norms, _ = shared
+    X, norms = shared[0], _norms(cfg, shared)
     for p in cfg.p_values:
         t = norms[p]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
@@ -308,7 +320,7 @@ def _entropy_rows(rows: np.ndarray, p: float, logs=None):
 
 def _check_entropy_identity(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    X, _, made = shared
+    X, made = shared
     blocks = [X]
     if n >= 3:
         # zero-component rows: lower-dimensional samples padded with a zero, column-major as X is
@@ -329,7 +341,8 @@ def _check_entropy_identity(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
 
 def _check_entropy_sandwich(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, norms, made = shared
+    X, made = shared
+    norms = _norms(cfg, shared)
     for p in _finite_ps(cfg):
         # entropy-identity made H(w) already, unless it did not run
         entropy = made["entropy", p] if ("entropy", p) in made else _entropy_rows(X, p)[2]
@@ -339,7 +352,7 @@ def _check_entropy_sandwich(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
 
 def _check_lemma_a1(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Strict negativity of the log-bound expression on the samples, equality at e/n."""
-    X, norms, _ = shared
+    X, norms = shared[0], _norms(cfg, shared)
     uniform, uniform_norms = _uniform(cfg, n, shared)
     for p in _finite_ps(cfg):
         d = dispersion_constant(n, p)
@@ -360,7 +373,7 @@ def _check_f_decreasing(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
 
 def _check_norm_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    X, norms, _ = shared
+    X, norms = shared[0], _norms(cfg, shared)
     for p1, p2 in combinations([1.0, *cfg.p_values], 2):
         example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
         ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
@@ -370,7 +383,7 @@ def _check_norm_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
 
 def _check_eps_nesting(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X, norms, _ = shared
+    X, norms = shared[0], _norms(cfg, shared)
     a, b = make_rng().random((2, cfg.samples))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     for p in cfg.p_values:
@@ -446,17 +459,22 @@ class _Tally:
 
 
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
-    """Run the suites one dimension at a time on one read-only sample block; 0/0 is a failing margin, not a warning."""
-    chain = tuple(sorted({1.0, 2.0, *cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
+    """Run the suites one dimension at a time on one read-only sample block; 0/0 is a failing margin, not a warning.
+
+    A dimension's checks share (X, made), the samples and what the first check to read it makes of them. corner and
+    entropy-identity read no sample norms, so they run first, the rest after them in canonical order: the identity's
+    blocks are freed before the norm chain is made, and a run of those two alone makes none. Reports keep their order.
+    """
     tallies = {name: _Tally() for name in cfg.suites}
+    order = sorted(cfg.suites, key=lambda name: name not in ("corner", "entropy-identity"))  # stable
     with np.errstate(all="ignore"):
         for n in cfg.n_values:
             X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True)
             X.flags.writeable = False  # the checks share it, so none may write it
-            shared = X, dict(zip(chain, _pnorm_rows(X, chain))), {}
-            for name, tally in tallies.items():
+            shared = X, {}
+            for name in order:
                 make_rng = partial(_generator, cfg.seed, (SUITE_NAMES.index(name), n))
-                tally.fold(_CHECKS[name](cfg, n, make_rng, shared))
-            del shared  # free these norms and what the checks made of them before the next dimension's are made
+                tallies[name].fold(_CHECKS[name](cfg, n, make_rng, shared))
+            del shared  # free the norms and what else the checks made before the next dimension's are made
     results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
     return VerificationReport(cfg, tuple(results))

@@ -290,17 +290,25 @@ class TestDispersionReport:
         np.testing.assert_array_equal(report.per_p[1].member, [True, True, False])
 
     def test_every_norm_comes_from_one_kernel_call(self, monkeypatch):
+        # 1 and 2 (for the CV) and each requested p, once however often it is requested; an entry per request
         chains = []
 
         def counted(rows, p, *args):
-            chains.append(p)
+            chains.append(list(p))
             return _pnorm_rows(rows, p, *args)
 
-        monkeypatch.setattr(fairness, "_pnorm_rows", counted)
         rows = np.array([[0.5, 0.5, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
-        report = dispersion_report(rows, [4, 2, INFINITY, 2], eps=0.3)
-        assert len(chains) == 1
-        assert [e.p for e in report.per_p] == [2.0, 2.0, 4.0, INFINITY]
+        for ps in ([4, 2, INFINITY, 2], [2], [INFINITY, 3, INFINITY]):
+            alone = {p: dispersion_report(rows, [p], eps=0.3).per_p[0] for p in ps}
+            chains.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(fairness, "_pnorm_rows", counted)
+                report = dispersion_report(rows, ps, eps=0.3)
+            assert chains == [sorted({1.0, 2.0, *map(float, ps)})]
+            assert [e.p for e in report.per_p] == sorted(map(float, ps))
+            for entry in report.per_p:
+                assert np.array_equal(entry.eps_max, alone[entry.p].eps_max)
+                assert np.array_equal(entry.member, alone[entry.p].member)
 
     def test_row_whose_sum_overflows_is_scaled_and_others_keep_their_bits(self):
         rows = np.array([[0.5, 0.25, 0.25], [1e308, 1e308, 1.0], [1.0, 2.0, 3.0]])

@@ -223,12 +223,50 @@ class TestRunSuite:
         shared = [draw for draw in draws if len(draw[0]) == 3]
         assert shared == [((n, 0, 0), n, cfg.samples, True) for n in cfg.n_values]
         drawing = {"inclusion": 2, "corner": 2, "entropy-identity": 3, "eps-nesting": 2}  # from this dimension on
+        # in each dimension corner and entropy-identity run first, the other suites after them in canonical order
+        run_order = ("corner", "entropy-identity", "cv-bound", "inclusion", "equivalence", "entropy-sandwich")
+        run_order += ("lemma-a1", "f-decreasing", "norm-equivalence", "eps-nesting")
+        order = [s for s in run_order if s in cfg.suites]
         assert made == [
             key
             for n in cfg.n_values
-            for key in [(n, 0, 0)] + [(SUITE_NAMES.index(s), n) for s in cfg.suites if drawing.get(s, math.inf) <= n]
+            for key in [(n, 0, 0)] + [(SUITE_NAMES.index(s), n) for s in order if drawing.get(s, math.inf) <= n]
         ]
 
+    @pytest.mark.parametrize("suites", [("corner",), ("entropy-identity",), ("corner", "entropy-identity")], ids=",".join)
+    def test_suites_that_read_no_sample_norms_make_none(self, monkeypatch, suites):
+        # the sample block's norm chain is made by the first check that reads it, and these read none
+        normed = []
+        pnorm_rows = verifier._pnorm_rows
+
+        def counted(rows, p):
+            if rows.shape[0] == SMALL.samples:
+                normed.append(rows.shape[-1])
+            return pnorm_rows(rows, p)
+
+        monkeypatch.setattr(verifier, "_pnorm_rows", counted)
+        run_suite(dataclasses.replace(SMALL, suites=suites, n_values=(7, 2, 3)))
+        assert normed == []
+
+    def test_each_dimension_checks_the_entropy_identity_before_its_norms_are_made(self, monkeypatch):
+        # the identity's log and power blocks are freed before the chain's nine rows are made
+        events = []
+        pnorm_rows, identity = verifier._pnorm_rows, verifier._CHECKS["entropy-identity"]
+
+        def counted(rows, p):
+            if rows.shape[0] == SMALL.samples:
+                events.append(("norms", rows.shape[-1]))
+            return pnorm_rows(rows, p)
+
+        def recorded(cfg, n, make_rng, shared):
+            yield from identity(cfg, n, make_rng, shared)
+            events.append(("entropy-identity", n))
+
+        monkeypatch.setattr(verifier, "_pnorm_rows", counted)
+        monkeypatch.setitem(verifier._CHECKS, "entropy-identity", recorded)
+        cfg = dataclasses.replace(SMALL, n_values=(7, 2, 3))
+        run_suite(cfg)
+        assert events == [event for n in cfg.n_values for event in (("entropy-identity", n), ("norms", n))]
 
     @pytest.mark.parametrize("suites", [("entropy-identity", "entropy-sandwich"), ("entropy-sandwich",)], ids=",".join)
     def test_the_samples_entropy_is_made_once_per_dimension_and_exponent(self, monkeypatch, suites):
