@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, pairwise
 
 import numpy as np
@@ -161,12 +161,12 @@ class VerificationReport:
 def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """Independent substream for one spawn key.
 
-    A suite's own draws at dimension n are keyed (suite, n) and the block
-    all suites of n share (n, 0, 0); a triple never equals a pair, so no
-    suite draws from another's substreams, and a run of any subset of the
-    suites reproduces each of them as the full run reports it. A suite's
-    generator is made when it first draws, so a suite that draws nothing
-    makes none.
+    A suite's own draws at dimension n are keyed (suite, n) and the samples
+    of the _Block all suites of n share (n, 0, 0); a triple never equals a
+    pair, so no suite draws from another's substreams, and a run of any
+    subset of the suites reproduces each of them as the full run reports
+    it. A suite's generator is made when it first draws, so a suite that
+    draws nothing makes none.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
@@ -211,64 +211,59 @@ def _finite_ps(cfg: VerifyConfig) -> list[float]:
     return [p for p in cfg.p_values if math.isfinite(p)]
 
 
-def _norms(cfg: VerifyConfig, shared: tuple) -> dict:
-    """The samples' norms by exponent, one chain over 1, 2 and the configured exponents made by the first check of n
-    that reads them."""
-    X, made = shared
-    if "norms" not in made:
-        chain = tuple(sorted({1.0, 2.0, *cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
-        made["norms"] = dict(zip(chain, _pnorm_rows(X, chain)))
-    return made["norms"]
+class _Block:
+    """One dimension's read-only samples X, drawn from key (n, 0, 0), and what the first check to read it makes of X."""
+
+    def __init__(self, cfg: VerifyConfig, n: int):
+        self.cfg, self.n = cfg, n
+        self.X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True)
+        self.X.flags.writeable = False  # the checks share it, so none may write it
+        self.entropy = {}  # the samples' H(w) by finite exponent, filled by the entropy suite that runs first
+
+    @cached_property
+    def norms(self) -> dict:
+        """The samples' norms by exponent, one chain over 1, 2 and the configured exponents."""
+        chain = tuple(sorted({1.0, 2.0, *self.cfg.p_values}))  # cv-bound reads the 2-norm, norm-equivalence the 1-norm
+        return dict(zip(chain, _pnorm_rows(self.X, chain)))
+
+    @cached_property
+    def thresholds(self) -> list:
+        """eps_p(x) of the samples at each configured exponent."""
+        return [_threshold_rows(self.norms[p], self.n, p) for p in self.cfg.p_values]
+
+    @cached_property
+    def uniform(self) -> tuple:
+        """e/n as a (1, n) row and its norms by configured exponent, one chain."""
+        uniform = np.full((1, self.n), 1.0 / self.n)
+        return uniform, dict(zip(self.cfg.p_values, _pnorm_rows(uniform, self.cfg.p_values)))
+
+    def uniform_gap(self, p: float) -> tuple:
+        """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
+        uniform, norms = self.uniform
+        gap = abs(float(_slack_rows(norms[p][0], self.n, 1.0, p)))
+        return [self.cfg.tol - gap], 0.0, False, _row_example(uniform, self.n, p, epsilon=1.0)
 
 
-def _thresholds(cfg: VerifyConfig, n: int, shared: tuple) -> list:
-    """eps_p(x) of the samples at each configured exponent, made by the first check of n that reads them."""
-    made = shared[1]
-    if "thresholds" not in made:
-        norms = _norms(cfg, shared)
-        made["thresholds"] = [_threshold_rows(norms[p], n, p) for p in cfg.p_values]
-    return made["thresholds"]
+# Each check below states one suite's inequality for one dimension: it reads
+# the dimension's _Block -- cfg, n, the samples X and their norms, thresholds,
+# e/n's norms and H(w), each made once by the first check to read it (corner
+# and entropy-identity read no norms, so run_suite runs those two first). It
+# calls make_rng() for the (suite, n) generator when it first draws what else
+# it needs, and yields blocks of (margins, threshold, strict, example), where
+# example(i) describes the i-th margin of its block in row-major order.
 
 
-def _uniform(cfg: VerifyConfig, n: int, shared: tuple) -> tuple:
-    """e/n as a (1, n) row and its norms by configured exponent, one chain made by the first check of n that reads them."""
-    made = shared[1]
-    if "uniform" not in made:
-        uniform = np.full((1, n), 1.0 / n)
-        made["uniform"] = uniform, dict(zip(cfg.p_values, _pnorm_rows(uniform, cfg.p_values)))
-    return made["uniform"]
-
-
-def _uniform_gap(cfg: VerifyConfig, n: int, p: float, shared: tuple) -> tuple:
-    """e/n meets the eps = 1 constraint (1 + D_p) ||e/n||_p = 1 within tol."""
-    uniform, norms = _uniform(cfg, n, shared)
-    gap = abs(float(_slack_rows(norms[p][0], n, 1.0, p)))
-    return [cfg.tol - gap], 0.0, False, _row_example(uniform, n, p, epsilon=1.0)
-
-
-# Each check below states one suite's inequality for one dimension n: it reads
-# the block of n shared as (X, made) -- the read-only samples and a table of
-# what checks make of them once per dimension, each by the first check that
-# reads it: the samples' norms (_norms, which corner and entropy-identity never
-# read, so run_suite runs those two first), the thresholds (_thresholds), e/n
-# and its norms (_uniform) and the samples' power-sum entropies H(w) by finite
-# exponent, filled by entropy-identity as it makes them. It calls make_rng()
-# for the (suite, n) generator when it first draws what else it needs, and
-# yields blocks of (margins, threshold, strict, example), where example(i)
-# describes the i-th margin of its block in row-major order.
-
-
-def _check_cv_bound(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_cv_bound(block: _Block, make_rng):
     """CV(x)^2 <= B_p(eps_p(x)) with slack, for every sample and exponent."""
-    X = shared[0]
-    cv2 = _cv2_rows(_norms(cfg, shared)[2.0], n)
-    for p, eps in zip(cfg.p_values, _thresholds(cfg, n, shared)):
+    cfg, n, X = block.cfg, block.n, block.X
+    cv2 = _cv2_rows(block.norms[2.0], n)
+    for p, eps in zip(cfg.p_values, block.thresholds):
         yield _cv_bound_rows(n, p, eps) - cv2, -CV_BOUND_SLACK, False, _row_example(X, n, p)
 
 
-def _check_inclusion(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_inclusion(block: _Block, make_rng):
     """Membership at the larger exponent implies membership at the smaller one."""
-    X, norms = shared[0], _norms(cfg, shared)
+    cfg, n, X, norms = block.cfg, block.n, block.X, block.norms
     eps = make_rng().random(cfg.samples)
     slacks = (_slack_rows(norms[p], n, eps, p) for p in cfg.p_values)  # each made once, for both its pairs
     for (p1, slack1), (p2, slack2) in pairwise(zip(cfg.p_values, slacks)):
@@ -283,18 +278,19 @@ def _check_inclusion(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
         yield margins, -NONSTRICT_SLACK, False, example
 
 
-def _check_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_equivalence(block: _Block, make_rng):
     """At eps = 0 everything is a member; at eps = 1 only e/n is, for every p."""
-    X, norms = shared[0], _norms(cfg, shared)
-    for p in cfg.p_values:
+    n, X, norms = block.n, block.X, block.norms
+    for p in block.cfg.p_values:
         t = norms[p]
         yield _slack_rows(t, n, 0.0, p), -NONSTRICT_SLACK, False, _row_example(X, n, p, epsilon=0.0)
         yield -_slack_rows(t, n, 1.0, p), STRICT_MARGIN, True, _row_example(X, n, p, epsilon=1.0)
-        yield _uniform_gap(cfg, n, p, shared)
+        yield block.uniform_gap(p)
 
 
-def _check_corner(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_corner(block: _Block, make_rng):
     """Vertices are members only at eps = 0; e/n stays a member even at eps = 1."""
+    cfg, n = block.cfg, block.n
     eps = EXCLUSION_RADIUS + (1.0 - EXCLUSION_RADIUS) * make_rng().random(cfg.samples)
     vertices = np.eye(n)
     for p, tv in zip(cfg.p_values, _pnorm_rows(vertices, cfg.p_values)):
@@ -309,7 +305,7 @@ def _check_corner(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
         margins -= 1.0
         yield margins, STRICT_MARGIN, True, example
         yield 1.0 - tv, -NONSTRICT_SLACK, False, _row_example(vertices, n, p, epsilon=0.0)
-        yield _uniform_gap(cfg, n, p, shared)
+        yield block.uniform_gap(p)
 
 
 def _entropy_rows(rows: np.ndarray, p: float, logs=None):
@@ -318,9 +314,9 @@ def _entropy_rows(rows: np.ndarray, p: float, logs=None):
     return total, derivative, _shannon_rows(weights)
 
 
-def _check_entropy_identity(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_entropy_identity(block: _Block, make_rng):
     """ln S_p - p S_p'/S_p = H(w), including rows with zero components."""
-    X, made = shared
+    cfg, n, X = block.cfg, block.n, block.X
     blocks = [X]
     if n >= 3:
         # zero-component rows: lower-dimensional samples padded with a zero, column-major as X is
@@ -334,56 +330,59 @@ def _check_entropy_identity(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
         for rows, log_x in zip(blocks, logs):
             total, derivative, entropy = _entropy_rows(rows, p, log_x)
             if rows is X:
-                made["entropy", p] = entropy  # entropy-sandwich reads the samples' H(w) from here
+                block.entropy[p] = entropy  # entropy-sandwich reads the samples' H(w) from here
             gap = np.abs(np.log(total) - p * derivative / total - entropy)
             yield cfg.tol - gap, 0.0, False, _row_example(rows, n, p)
 
 
-def _check_entropy_sandwich(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_entropy_sandwich(block: _Block, make_rng):
     """0 <= H(w) <= -(p/(p-1)) ln ||x||_p for the power-sum weights."""
-    X, made = shared
-    norms = _norms(cfg, shared)
-    for p in _finite_ps(cfg):
-        # entropy-identity made H(w) already, unless it did not run
-        entropy = made["entropy", p] if ("entropy", p) in made else _entropy_rows(X, p)[2]
+    n, X, norms, entropies = block.n, block.X, block.norms, block.entropy
+    ps = _finite_ps(block.cfg)
+    # entropy-identity made H(w) already, unless it did not run; then ln X is made once for every p
+    logs = _log_rows(X) if any(p not in entropies for p in ps) else None
+    for p in ps:
+        if p not in entropies:
+            entropies[p] = _entropy_rows(X, p, logs)[2]
+        entropy = entropies[p]
         yield entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
         yield -(p / (p - 1.0)) * np.log(norms[p]) - entropy, -NONSTRICT_SLACK, False, _row_example(X, n, p)
 
 
-def _check_lemma_a1(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_lemma_a1(block: _Block, make_rng):
     """Strict negativity of the log-bound expression on the samples, equality at e/n."""
-    X, norms = shared[0], _norms(cfg, shared)
-    uniform, uniform_norms = _uniform(cfg, n, shared)
-    for p in _finite_ps(cfg):
+    n, X, norms = block.n, block.X, block.norms
+    uniform, uniform_norms = block.uniform
+    for p in _finite_ps(block.cfg):
         d = dispersion_constant(n, p)
         samples, center = (
             (p / (p - 1.0)) * (-np.log(t)) / (1.0 - t) - math.log(n) * (1.0 + 1.0 / d)
             for t in (norms[p], uniform_norms[p])
         )
         yield -samples, STRICT_MARGIN, True, _row_example(X, n, p)
-        yield cfg.tol - np.abs(center), 0.0, False, _row_example(uniform, n, p)
+        yield block.cfg.tol - np.abs(center), 0.0, False, _row_example(uniform, n, p)
 
 
-def _check_f_decreasing(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_f_decreasing(block: _Block, make_rng):
     """eps_p(x) strictly decreases along the ascending exponent chain."""
-    X = shared[0]
-    for (p1, eps1), (p2, eps2) in pairwise(zip(cfg.p_values, _thresholds(cfg, n, shared))):
+    n, X = block.n, block.X
+    for (p1, eps1), (p2, eps2) in pairwise(zip(block.cfg.p_values, block.thresholds)):
         yield eps1 - eps2, STRICT_MARGIN, True, _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
 
 
-def _check_norm_equivalence(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_norm_equivalence(block: _Block, make_rng):
     """||x||_p2 <= ||x||_p1 <= ((D_p2+1)/(D_p1+1)) ||x||_p2 for all 1 <= p1 < p2."""
-    X, norms = shared[0], _norms(cfg, shared)
-    for p1, p2 in combinations([1.0, *cfg.p_values], 2):
+    n, X, norms = block.n, block.X, block.norms
+    for p1, p2 in combinations([1.0, *block.cfg.p_values], 2):
         example = _row_example(X, n, p1, p_pair=[_p_token(p1), _p_token(p2)])
         ratio = (dispersion_constant(n, p2) + 1.0) / (dispersion_constant(n, p1) + 1.0)
         yield norms[p1] - norms[p2], -NONSTRICT_SLACK, False, example
         yield ratio * norms[p2] - norms[p1], -NONSTRICT_SLACK, False, example
 
 
-def _check_eps_nesting(cfg: VerifyConfig, n: int, make_rng, shared: tuple):
+def _check_eps_nesting(block: _Block, make_rng):
     """Membership at a larger eps implies membership at any smaller eps."""
-    X, norms = shared[0], _norms(cfg, shared)
+    cfg, n, X, norms = block.cfg, block.n, block.X, block.norms
     a, b = make_rng().random((2, cfg.samples))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     for p in cfg.p_values:
@@ -461,20 +460,19 @@ class _Tally:
 def run_suite(cfg: VerifyConfig) -> VerificationReport:
     """Run the suites one dimension at a time on one read-only sample block; 0/0 is a failing margin, not a warning.
 
-    A dimension's checks share (X, made), the samples and what the first check to read it makes of them. corner and
+    A dimension's checks share its _Block: the samples and what the first check to read it makes of them. corner and
     entropy-identity read no sample norms, so they run first, the rest after them in canonical order: the identity's
     blocks are freed before the norm chain is made, and a run of those two alone makes none. Reports keep their order.
+    A block is deleted before the next is drawn, so the allocation peak holds one dimension's samples and norms.
     """
     tallies = {name: _Tally() for name in cfg.suites}
     order = sorted(cfg.suites, key=lambda name: name not in ("corner", "entropy-identity"))  # stable
     with np.errstate(all="ignore"):
         for n in cfg.n_values:
-            X = _sample_rows(n, cfg.samples, _generator(cfg.seed, (n, 0, 0)), exclude_special=True)
-            X.flags.writeable = False  # the checks share it, so none may write it
-            shared = X, {}
+            block = _Block(cfg, n)
             for name in order:
                 make_rng = partial(_generator, cfg.seed, (SUITE_NAMES.index(name), n))
-                tallies[name].fold(_CHECKS[name](cfg, n, make_rng, shared))
-            del shared  # free the norms and what else the checks made before the next dimension's are made
+                tallies[name].fold(_CHECKS[name](block, make_rng))
+            del block  # not held while the next dimension's is drawn
     results = (SuiteResult(name, t.checked, t.failures, t.worst, tuple(t.examples)) for name, t in tallies.items())
     return VerificationReport(cfg, tuple(results))

@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from fairctl import (
     p_norm,
     run_suite,
 )
-from fairctl import verifier
+from fairctl import core, verifier
 from fairctl.core import _row_sum
 from fairctl.verifier import _sample_rows
 
@@ -258,9 +259,9 @@ class TestRunSuite:
                 events.append(("norms", rows.shape[-1]))
             return pnorm_rows(rows, p)
 
-        def recorded(cfg, n, make_rng, shared):
-            yield from identity(cfg, n, make_rng, shared)
-            events.append(("entropy-identity", n))
+        def recorded(block, make_rng):
+            yield from identity(block, make_rng)
+            events.append(("entropy-identity", block.n))
 
         monkeypatch.setattr(verifier, "_pnorm_rows", counted)
         monkeypatch.setitem(verifier._CHECKS, "entropy-identity", recorded)
@@ -285,6 +286,73 @@ class TestRunSuite:
         run_suite(cfg)
         finite = sum(math.isfinite(p) for p in cfg.p_values)
         assert made == [n for n in cfg.n_values for _ in range(finite)]
+
+    @pytest.mark.parametrize("suites", [("entropy-identity", "entropy-sandwich"), ("entropy-sandwich",)], ids=",".join)
+    def test_the_samples_are_logged_once_per_dimension(self, monkeypatch, suites):
+        # ln X serves every finite exponent, whichever entropy suite makes H(w) of the shared block
+        drawn, logged = [], []
+        sample_rows = verifier._sample_rows
+
+        def recorded(*args, **kwargs):
+            drawn.append(sample_rows(*args, **kwargs))
+            return drawn[-1]
+
+        def spy(log_rows):
+            def counted(rows):
+                if any(rows is block for block in drawn):
+                    logged.append(rows.shape[-1])
+                return log_rows(rows)
+
+            return counted
+
+        monkeypatch.setattr(verifier, "_sample_rows", recorded)
+        monkeypatch.setattr(verifier, "_log_rows", spy(verifier._log_rows))
+        monkeypatch.setattr(core, "_log_rows", spy(core._log_rows))
+        cfg = dataclasses.replace(SMALL, suites=suites, n_values=(7, 2, 3))
+        run_suite(cfg)
+        assert logged == list(cfg.n_values)
+
+    def test_each_cached_quantity_is_made_once_per_dimension(self, monkeypatch):
+        # the thresholds and e/n's norms are read by several suites of a dimension and made by the first of them
+        thresholds, uniform = [], []
+        threshold_rows, pnorm_rows = verifier._threshold_rows, verifier._pnorm_rows
+
+        def counted_thresholds(t, n, p):
+            thresholds.append(n)
+            return threshold_rows(t, n, p)
+
+        def counted_norms(rows, p):
+            if rows.shape[0] == 1:  # e/n, a (1, n) row
+                uniform.append(rows.shape[-1])
+            return pnorm_rows(rows, p)
+
+        monkeypatch.setattr(verifier, "_threshold_rows", counted_thresholds)
+        monkeypatch.setattr(verifier, "_pnorm_rows", counted_norms)
+        cfg = dataclasses.replace(SMALL, n_values=(7, 2, 3))
+        run_suite(cfg)
+        assert thresholds == [n for n in cfg.n_values for _ in cfg.p_values]
+        assert uniform == list(cfg.n_values)
+
+    def test_no_earlier_block_is_alive_when_a_dimension_draws(self, monkeypatch):
+        # a block still held while the next one draws would add its samples, norms and H(w) to the peak
+        blocks, alive = [], []
+        sample_rows = verifier._sample_rows
+
+        class Recorded(verifier._Block):
+            def __init__(self, *args):
+                super().__init__(*args)
+                blocks.append(weakref.ref(self))
+
+        def recorded(n, count, rng, exclude_special=False):
+            if exclude_special:
+                alive.append(sum(ref() is not None for ref in blocks))
+            return sample_rows(n, count, rng, exclude_special)
+
+        monkeypatch.setattr(verifier, "_Block", Recorded)
+        monkeypatch.setattr(verifier, "_sample_rows", recorded)
+        cfg = dataclasses.replace(SMALL, n_values=(7, 2, 3))
+        run_suite(cfg)
+        assert (len(blocks), alive) == (len(cfg.n_values), [0] * len(cfg.n_values))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -394,7 +462,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("strict, failures", [(True, 1), (False, 0)])
     def test_margin_at_threshold_fails_only_when_strict(self, monkeypatch, strict, failures):
-        def check(cfg, n, rng, shared):
+        def check(block, rng):
             yield [0.5, 0.25], 0.25, strict, lambda i: {"i": i}
 
         result = self.run_fake(monkeypatch, check, n_values=(2,))
@@ -403,25 +471,25 @@ class TestDriver:
 
     def test_a_check_cannot_write_the_shared_block(self, monkeypatch):
         # every suite of a dimension reads the same samples, so a write would reach the suites after it
-        def check(cfg, n, rng, shared):
-            shared[0][0, 0] = 0.5
+        def check(block, rng):
+            block.X[0, 0] = 0.5
             yield [1.0], 0.0, False, lambda i: {}
 
         with pytest.raises(ValueError, match="read-only"):
             self.run_fake(monkeypatch, check)
 
     def test_empty_block_is_neither_counted_nor_worst(self, monkeypatch):
-        def check(cfg, n, rng, shared):
+        def check(block, rng):
             yield np.empty(0), 0.0, False, lambda i: {}
             yield [3.0, 2.0], 0.0, False, lambda i: {}
-            yield np.empty((0, n)), 0.0, True, lambda i: {}
+            yield np.empty((0, block.n)), 0.0, True, lambda i: {}
 
         result = self.run_fake(monkeypatch, check)
         assert (result.checked, result.failures, result.worst_margin) == (4, 0, 2.0)
         assert result.passed
 
     def test_only_nothing_checked_gives_no_worst_margin(self, monkeypatch):
-        def check(cfg, n, rng, shared):
+        def check(block, rng):
             yield [], 0.0, False, lambda i: {}
 
         result = self.run_fake(monkeypatch, check)
@@ -429,7 +497,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_nan_margin_fails_and_is_never_the_worst(self, monkeypatch, strict):
-        def check(cfg, n, rng, shared):
+        def check(block, rng):
             yield [0.5, math.nan, -1.0], 0.0, strict, lambda i: {"i": i}
             yield [math.nan], 0.0, strict, lambda i: {"i": i}
 
@@ -440,7 +508,7 @@ class TestDriver:
         json.dumps(result.to_dict(), allow_nan=False)  # null, never NaN
 
     def test_only_nan_margins_give_no_worst_margin(self, monkeypatch):
-        def check(cfg, n, rng, shared):
+        def check(block, rng):
             yield np.full(3, math.nan), 0.0, False, lambda i: {}
 
         result = self.run_fake(monkeypatch, check, n_values=(2,))
@@ -450,10 +518,11 @@ class TestDriver:
         cap = verifier.COUNTEREXAMPLE_CAP
         per_block = cap // 4 + 1  # four blocks overflow the cap, and it falls in the second dimension
 
-        def check(cfg, n, rng, shared):
-            for block in range(2):
-                margins = -1.0 - np.arange(per_block) - 100 * block - 1000 * n
-                yield margins, 0.0, False, lambda i, block=block: {"n": n, "block": block, "i": i}
+        def check(block, rng):
+            n = block.n
+            for part in range(2):
+                margins = -1.0 - np.arange(per_block) - 100 * part - 1000 * n
+                yield margins, 0.0, False, lambda i, part=part: {"n": n, "block": part, "i": i}
 
         result = self.run_fake(monkeypatch, check)
         assert result.failures == result.checked == 2 * 2 * per_block
